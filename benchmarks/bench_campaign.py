@@ -3,7 +3,7 @@
 Measures a persistent-agent campaign against fresh-agent rounds on the
 same workload stream.  Asserts the campaign machinery itself: identical
 first rounds, accumulating experience, bounded hit rate.  The cold
-rounds fan out over the execution fabric (auto-sized to the machine);
+rounds fan out over the execution fabric (one worker per core);
 results are backend-independent, so the assertions hold either way.
 """
 
@@ -12,7 +12,7 @@ import pytest
 from repro.analysis import format_table
 from repro.config import GenTranSeqConfig, WorkloadConfig
 from repro.core import cold_vs_warm
-from repro.parallel import AutoRunner
+from repro.parallel import get_runner
 
 from conftest import BenchSeries
 
@@ -23,7 +23,7 @@ GTS = GenTranSeqConfig(episodes=4, steps_per_episode=25, seed=0)
 
 
 def _run():
-    with AutoRunner() as runner:
+    with get_runner(-1) as runner:
         return cold_vs_warm(WORKLOAD, GTS, rounds=4, runner=runner)
 
 

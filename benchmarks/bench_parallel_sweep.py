@@ -1,17 +1,17 @@
-"""Parallel fabric bench: serial vs process-pool sweep throughput.
+"""Parallel fabric bench: serial vs fabric-runner sweep throughput.
 
 Runs the same Fig. 6-style sweep — independent, explicitly seeded
-``shared_pool_round`` trials — through the serial backend and process
-pools of 2 and 4 workers, and archives wall-clock times and speedups
-(``BENCH_parallel.json``).  Determinism is asserted unconditionally:
-every backend must return the identical value list.
+``shared_pool_round`` trials — through the serial backend and the
+fabric runner with 2 and 4 workers, and archives wall-clock times and
+speedups (``BENCH_parallel.json``).  Determinism is asserted
+unconditionally: every backend must return the identical value list.
 
 Acceptance: with at least 4 CPU cores, 4 workers must clear a 2x
 speedup over serial.  On smaller machines (CI runners are often 1-2
-cores) the speedup is recorded but not asserted — a process pool cannot
-beat serial without cores to run on — and the bench record carries a
-machine-readable unarmed gate verdict (``armed: false`` with the
-``cpu_count`` reason) instead of a silently skipped check.
+cores) the speedup is recorded but not asserted — worker processes
+cannot beat serial without cores to run on — and the bench record
+carries a machine-readable unarmed gate verdict (``armed: false`` with
+the ``cpu_count`` reason) instead of a silently skipped check.
 """
 
 from __future__ import annotations
@@ -21,13 +21,7 @@ import time
 
 from repro.experiments.common import QUICK
 from repro.experiments.fig6_profit import _fig6_trial
-from repro.parallel import (
-    ProcessRunner,
-    SerialRunner,
-    StealingRunner,
-    Task,
-    spawn_task_seeds,
-)
+from repro.parallel import SerialRunner, Task, get_runner, spawn_task_seeds
 
 from conftest import BenchSeries, GateVerdict
 
@@ -74,26 +68,22 @@ def test_parallel_sweep_speedup(save_artifact, emit_bench):
             "identical_to_serial": True,
         }
     ]
-    for backend, make_runner in (
-        ("process", lambda n: ProcessRunner(max_workers=n)),
-        ("stealing", lambda n: StealingRunner(max_workers=n)),
-    ):
-        for workers in WORKER_COUNTS:
-            with make_runner(workers) as runner:
-                # Warm the pool outside the timed region: a long sweep
-                # pays worker startup once, and the bench measures
-                # steady state.
-                runner.map(tasks[:1])
-                seconds, values = _time_runner(runner, tasks)
-            records.append(
-                {
-                    "jobs": workers,
-                    "backend": backend,
-                    "seconds": seconds,
-                    "speedup": serial_seconds / seconds,
-                    "identical_to_serial": values == serial_values,
-                }
-            )
+    for workers in WORKER_COUNTS:
+        with get_runner(workers) as runner:
+            # Warm the workers outside the timed region: a long sweep
+            # pays worker startup once, and the bench measures steady
+            # state.
+            runner.map(tasks[:1])
+            seconds, values = _time_runner(runner, tasks)
+        records.append(
+            {
+                "jobs": workers,
+                "backend": "stealing",
+                "seconds": seconds,
+                "speedup": serial_seconds / seconds,
+                "identical_to_serial": values == serial_values,
+            }
+        )
 
     gate_active = cpu_count >= MIN_CORES_FOR_GATE
 
@@ -117,10 +107,7 @@ def test_parallel_sweep_speedup(save_artifact, emit_bench):
         )
     save_artifact("bench_parallel_sweep", "\n".join(lines))
 
-    at_4 = next(
-        rec for rec in records
-        if rec["jobs"] == 4 and rec["backend"] == "process"
-    )
+    at_4 = next(rec for rec in records if rec["jobs"] == 4)
     gate = GateVerdict(
         name="speedup_4workers",
         armed=gate_active,

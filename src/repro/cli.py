@@ -31,26 +31,19 @@ def _preset(args: argparse.Namespace) -> EffortPreset:
 
 
 def _runner(args: argparse.Namespace) -> TaskRunner:
-    """The fabric backend selected by ``--jobs``/``--schedule``/``--workers``."""
+    """The fabric backend selected by ``--jobs``/``--workers``."""
     return get_runner(
         getattr(args, "jobs", 1),
         workers=getattr(args, "workers", None),
-        schedule=getattr(args, "schedule", None),
     )
 
 
 def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for the sweep (1 = serial, the default; "
-             "negative = auto-size to the machine); results are "
-             "identical for every value",
-    )
-    parser.add_argument(
-        "--schedule", choices=("stealing", "static"), default=None,
-        help="multi-process schedule: 'stealing' (work-stealing with "
-             "adaptive chunks, the default for --jobs > 1) or 'static' "
-             "(contiguous up-front chunks); results are identical",
+        help="worker processes for the sweep, scheduled by work "
+             "stealing (1 = serial, the default; negative = one per "
+             "core); results are identical for every value",
     )
 
 
@@ -58,7 +51,7 @@ def _add_workers_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers", action="append", default=None, metavar="HOST:PORT",
         help="remote 'parole worker serve' address; repeat the flag or "
-             "comma-separate to add hosts (overrides --jobs/--schedule; "
+             "comma-separate to add hosts (overrides --jobs; "
              "results stay byte-identical to a local run)",
     )
 
@@ -224,7 +217,7 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
     records = run_all(
         pathlib.Path(args.out), preset=_preset(args), only=args.only,
         telemetry=telemetry, jobs=args.jobs, store=store,
-        workers=args.workers, schedule=args.schedule,
+        workers=args.workers,
     )
     failures = 0
     for record in records:

@@ -327,7 +327,6 @@ def run_all(
     jobs: int = 1,
     store: Optional[ResultStore] = None,
     workers: Optional[List[str]] = None,
-    schedule: Optional[str] = None,
 ) -> List[RunRecord]:
     """Run every (or the selected) experiment, archiving artifacts.
 
@@ -339,14 +338,13 @@ def run_all(
 
     ``jobs`` selects the execution fabric backend each experiment's
     internal sweep fans out over: ``1`` (default) runs serially in
-    process, ``N > 1`` uses a pool of N worker processes, and a
-    negative value auto-sizes to the machine.  ``workers`` (a list of
+    process, ``N > 1`` runs N work-stealing worker processes, and a
+    negative value uses one per core.  ``workers`` (a list of
     ``host:port`` specs) routes the sweeps to remote ``parole worker
-    serve`` hosts instead, and ``schedule="static"`` pins the chunked
-    pool over the default work-stealing scheduler.  Results are
-    identical for every ``jobs``/``workers``/``schedule`` value; worker
-    telemetry is merged back into the parent registry, so manifests
-    carry the complete stats either way.
+    serve`` hosts instead.  Results are identical for every
+    ``jobs``/``workers`` value; worker telemetry is merged back into
+    the parent registry, so manifests carry the complete stats either
+    way.
 
     With a ``store``, completed experiments and their individual sweep
     cells are memoized content-addressed (see :mod:`repro.store`): a
@@ -369,9 +367,7 @@ def run_all(
         session = configure(telemetry)
     records: List[RunRecord] = []
     try:
-        with get_runner(
-            jobs, store=store, workers=workers, schedule=schedule
-        ) as task_runner:
+        with get_runner(jobs, store=store, workers=workers) as task_runner:
             for spec in REGISTRY:
                 if wanted is not None and spec.experiment_id not in wanted:
                     continue

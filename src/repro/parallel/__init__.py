@@ -15,17 +15,15 @@ Typical sweep::
 Backends produce identical results for identical task lists — the
 experiment harnesses (`fig6`/`fig7`/`fig8`/`fig9`/`fig11`/`defense`),
 ``run_all --jobs N``, the chaos matrix and the sweep benches all ride
-on this package.  Local backends: :class:`SerialRunner`,
-:class:`ProcessRunner` (static chunks), :class:`StealingRunner`
-(work-stealing scheduler, the ``--jobs N`` default).  The remote
-backend (:class:`~.remote.RemoteRunner` + ``parole worker serve``)
-drives the same scheduler over socket-connected hosts sharing one
-result store; see :mod:`.protocol` for the wire format.
+on this package.  There are two runners: :class:`SerialRunner`, the
+reference, and the fabric runner :class:`StealingRunner`, which drives
+the work-stealing scheduler over worker endpoints of two kinds — local
+pipe workers (``--jobs N``) and, as :class:`~.remote.RemoteRunner`,
+sockets to ``parole worker serve`` hosts sharing one result store
+(``--workers``); see :mod:`.protocol` for the wire format.
 """
 
 from .fabric import (
-    AutoRunner,
-    ProcessRunner,
     SerialRunner,
     StealingRunner,
     Task,
@@ -49,8 +47,6 @@ from .scheduler import (
 from .worker import ChunkPayload, ChunkResult, TaskError, init_worker, run_chunk
 
 __all__ = [
-    "AutoRunner",
-    "ProcessRunner",
     "SerialRunner",
     "StealingRunner",
     "Task",

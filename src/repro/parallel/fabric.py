@@ -7,11 +7,12 @@ shape:
 
 * a declarative :class:`Task` record — ``(fn, args, kwargs, seed)`` with
   the seed passed explicitly so the task owns its entire random state;
-* a :class:`TaskRunner` abstraction with three backends:
-  :class:`SerialRunner` (the reference implementation),
-  :class:`ProcessRunner` (chunked ``ProcessPoolExecutor`` dispatch with
-  spawn-safe worker init), and :class:`AutoRunner` (picks by task count
-  x CPU count);
+* a :class:`TaskRunner` abstraction with two backends:
+  :class:`SerialRunner` (the reference implementation) and
+  :class:`StealingRunner`, the fabric runner: the work-stealing
+  scheduler of :mod:`.scheduler` driving worker endpoints, which are
+  long-lived local pipe workers here and remote sockets in its
+  :class:`~.remote.RemoteRunner` subclass;
 * :func:`spawn_task_seeds` — per-task seeds derived from the sweep seed
   via ``np.random.SeedSequence.spawn``, the recommended derivation for
   new sweeps (statistically independent streams, stable across numpy
@@ -25,8 +26,8 @@ JSON payloads for the Fig. 6/7/9 harnesses across ``--jobs 1/2/4``.
 
 **Telemetry.**  When the parent process has a live metrics registry,
 workers record into their own chunk-local registry/tracer and ship a
-serialized state + span buffer back; the parent folds them in
-(``MetricsRegistry.merge`` / ``Tracer.absorb``) in chunk-submission
+serialized state + span buffer back; once the batch ends the parent
+folds them in (``MetricsRegistry.merge`` / ``Tracer.absorb``) in task
 order, so ``--telemetry --jobs N`` manifests carry the same counts as a
 serial run.
 """
@@ -34,9 +35,8 @@ serial run.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -49,23 +49,14 @@ from .scheduler import (
     WorkerEndpoint,
     WorkStealingScheduler,
 )
-from .worker import (
-    ChunkPayload,
-    ChunkResult,
-    TaskError,
-    init_worker,
-    run_chunk,
-    steal_worker_main,
-)
+from .worker import ChunkPayload, ChunkResult, TaskError, steal_worker_main
 
 __all__ = [
     "Task",
     "TaskResult",
     "TaskRunner",
     "SerialRunner",
-    "ProcessRunner",
     "StealingRunner",
-    "AutoRunner",
     "get_runner",
     "parse_worker_addresses",
     "resolve_cache_key",
@@ -305,141 +296,8 @@ def _default_start_method() -> str:
     return "fork" if "fork" in methods else "spawn"
 
 
-class ProcessRunner(TaskRunner):
-    """Process-pool backend with chunked dispatch.
-
-    Tasks are split into contiguous chunks (default: enough chunks for
-    ~4 per worker, for load balancing without per-task IPC overhead) and
-    submitted to a lazily created ``ProcessPoolExecutor``.  The pool is
-    kept alive across ``run`` calls so one ``run_all --jobs N`` session
-    pays worker startup once; call :meth:`close` (or use the runner as a
-    context manager) to tear it down.
-    """
-
-    name = "process"
-
-    def __init__(
-        self,
-        max_workers: Optional[int] = None,
-        chunk_size: Optional[int] = None,
-        start_method: Optional[str] = None,
-        span_buffer_size: int = 4096,
-        store: Optional[ResultStore] = None,
-    ) -> None:
-        cpu = os.cpu_count() or 1
-        self.max_workers = max(1, max_workers if max_workers is not None else cpu)
-        self.chunk_size = chunk_size
-        self.start_method = start_method or _default_start_method()
-        self.span_buffer_size = span_buffer_size
-        self.store = store
-        self._executor: Optional[ProcessPoolExecutor] = None
-
-    def _pool(self) -> ProcessPoolExecutor:
-        if self._executor is None:
-            import multiprocessing
-
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.max_workers,
-                mp_context=multiprocessing.get_context(self.start_method),
-                initializer=init_worker,
-            )
-        return self._executor
-
-    def _chunks(
-        self, tasks: Sequence[Task]
-    ) -> List[Tuple[Tuple[int, Any, tuple, Dict[str, Any], Optional[int]], ...]]:
-        total = len(tasks)
-        if total == 0:
-            return []
-        size = self.chunk_size
-        if size is None:
-            size = max(1, -(-total // (self.max_workers * 4)))
-        # Remainder-balanced sizing: the old ``[size, size, ..., rest]``
-        # split left a ragged last chunk — with ``total`` slightly above
-        # a chunk boundary, one task (possibly the expensive one)
-        # serialized behind an otherwise idle pool.  Keep the same chunk
-        # *count* but spread the remainder so sizes differ by at most 1
-        # and never exceed an explicitly requested ``chunk_size``.
-        count = -(-total // size)
-        base, extra = divmod(total, count)
-        indexed = [
-            (index, task.fn, tuple(task.args), dict(task.kwargs), task.seed)
-            for index, task in enumerate(tasks)
-        ]
-        chunks = []
-        start = 0
-        for chunk_index in range(count):
-            length = base + (1 if chunk_index < extra else 0)
-            chunks.append(tuple(indexed[start : start + length]))
-            start += length
-        return chunks
-
-    def _run_batch(
-        self,
-        tasks: List[Task],
-        persist: Optional[Callable[[int, TaskResult], None]],
-    ) -> List[TaskResult]:
-        if not tasks:
-            return []
-        capture = bool(get_metrics().enabled)
-        payloads = [
-            ChunkPayload(
-                tasks=chunk,
-                capture_telemetry=capture,
-                span_buffer_size=self.span_buffer_size,
-            )
-            for chunk in self._chunks(tasks)
-        ]
-        pool = self._pool()
-        with get_tracer().span(
-            "fabric.dispatch",
-            tasks=len(tasks),
-            chunks=len(payloads),
-            workers=self.max_workers,
-        ):
-            futures = [pool.submit(run_chunk, payload) for payload in payloads]
-            # Collect and merge in *submission* order, not completion
-            # order: that keeps merged gauges (last-write-wins) and the
-            # span stream deterministic for a fixed task list and worker
-            # count.  Each chunk's results are persisted as soon as it is
-            # collected, so a killed ``--jobs N`` run keeps every chunk
-            # it got through.
-            by_index: Dict[int, TaskResult] = {}
-            for chunk_index, future in enumerate(futures):
-                with get_tracer().span(
-                    "fabric.chunk_wait",
-                    chunk=chunk_index,
-                    tasks=len(payloads[chunk_index].tasks),
-                ):
-                    chunk_result: ChunkResult = future.result()
-                self._merge_telemetry(chunk_result)
-                for index, value, error in chunk_result.outcomes:
-                    result = TaskResult(
-                        index=index,
-                        value=value,
-                        error=error,
-                        label=tasks[index].label,
-                    )
-                    by_index[index] = result
-                    if persist is not None:
-                        persist(index, result)
-        return [by_index[index] for index in range(len(tasks))]
-
-    @staticmethod
-    def _merge_telemetry(chunk_result: ChunkResult) -> None:
-        if chunk_result.metrics_state is not None:
-            get_metrics().merge(chunk_result.metrics_state)
-        if chunk_result.spans:
-            get_tracer().absorb(chunk_result.spans, worker=chunk_result.pid)
-
-    def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-
 class _ProcessEndpoint(WorkerEndpoint):
-    """One pipe-connected local worker process for the stealing fabric."""
+    """One pipe-connected local worker process for the fabric runner."""
 
     slots = 1
 
@@ -518,23 +376,27 @@ class _ProcessEndpoint(WorkerEndpoint):
             self._proc = None
 
 
-class StealingRunner(ProcessRunner):
-    """Work-stealing process backend for heterogeneous task costs.
+class StealingRunner(TaskRunner):
+    """The fabric runner: the work-stealing scheduler over worker endpoints.
 
-    Replaces static contiguous chunking with the scheduler in
-    :mod:`.scheduler`: per-worker local queues built in LPT order from
-    a :class:`~.scheduler.TaskCostModel` (fed by prior observed
-    timings when a store is attached), adaptive chunk splitting, and
-    steal-half rebalancing when a worker runs dry.  Worker processes
-    are long-lived pipe loops (started once, reused across ``run``
-    calls) and are respawned if they die mid-batch, with their tasks
-    requeued exactly once.
+    Batches run on the scheduler in :mod:`.scheduler`: per-worker local
+    queues built in LPT order from a :class:`~.scheduler.TaskCostModel`
+    (fed by prior observed timings when a store is attached), adaptive
+    chunk splitting, and steal-half rebalancing when a worker runs dry.
+    Endpoints open on the first non-empty batch and are reused across
+    ``run`` calls.  One that dies mid-batch is respawned with its tasks
+    requeued exactly once; one that stays dead is excluded, gets a fresh
+    restart attempt at the start of every later batch, and the batch
+    runs on the live subset.
 
-    The determinism contract is identical to every other backend:
+    This class opens ``max_workers`` pipe-connected local worker
+    processes; :class:`~.remote.RemoteRunner` overrides
+    :meth:`_open_endpoints` to connect to ``parole worker serve`` hosts.
+
+    The determinism contract is identical to :class:`SerialRunner`:
     submission-order reassembly plus explicit per-task seeds make the
-    results byte-identical to :class:`SerialRunner` regardless of cost
-    skew, steal pattern, or worker churn
-    (``tests/parallel/test_determinism_chaos.py``).
+    results byte-identical regardless of cost skew, steal pattern, or
+    worker churn (``tests/parallel/test_determinism_chaos.py``).
     """
 
     name = "stealing"
@@ -550,12 +412,11 @@ class StealingRunner(ProcessRunner):
         min_chunk: int = 1,
         tick_seconds: float = 1.0,
     ) -> None:
-        super().__init__(
-            max_workers=max_workers,
-            start_method=start_method,
-            span_buffer_size=span_buffer_size,
-            store=store,
-        )
+        cpu = os.cpu_count() or 1
+        self.max_workers = max(1, max_workers if max_workers is not None else cpu)
+        self.start_method = start_method or _default_start_method()
+        self.span_buffer_size = span_buffer_size
+        self.store = store
         self.cost_model = (
             cost_model if cost_model is not None else TaskCostModel(store=store)
         )
@@ -563,27 +424,36 @@ class StealingRunner(ProcessRunner):
         self.min_chunk = min_chunk
         self.tick_seconds = tick_seconds
         self.last_scheduler: Optional[WorkStealingScheduler] = None
-        self._endpoints: Optional[List[_ProcessEndpoint]] = None
+        self._endpoints: Optional[List[WorkerEndpoint]] = None
 
-    def _ensure_endpoints(self) -> List[_ProcessEndpoint]:
+    def _open_endpoints(self) -> List[WorkerEndpoint]:
+        """Open this runner's endpoints; called once, on the first batch."""
+        return [
+            _ProcessEndpoint(f"local-{index}", self.start_method)
+            for index in range(self.max_workers)
+        ]
+
+    def _ensure_endpoints(self) -> List[WorkerEndpoint]:
         if self._endpoints is None:
-            self._endpoints = [
-                _ProcessEndpoint(f"local-{index}", self.start_method)
-                for index in range(self.max_workers)
-            ]
+            self._endpoints = self._open_endpoints()
             return self._endpoints
-        # Worker processes are reused across batches; one whose respawn
-        # failed in a prior batch has a closed pipe.  Restart it here,
-        # and run on the live subset if the restart fails again.
+        # A respawn that failed in a prior batch leaves a closed endpoint
+        # behind.  Give each one a fresh restart attempt and run this
+        # batch on the live subset; a still-dead endpoint stays in the
+        # list so later batches retry it.
         live = [
             endpoint
             for endpoint in self._endpoints
             if endpoint.connected or endpoint.respawn()
         ]
+        dead = len(self._endpoints) - len(live)
+        if dead:
+            get_metrics().counter("fabric.worker_unreachable").inc(dead)
+            get_tracer().event("fabric.workers_degraded", unreachable=dead)
         if not live:
             raise ParallelError(
-                "no stealing-fabric workers left: every worker process "
-                "died and refused to restart"
+                "no fabric workers left: every endpoint died in an earlier "
+                "batch and failed to restart"
             )
         return live
 
@@ -594,33 +464,46 @@ class StealingRunner(ProcessRunner):
     ) -> List[TaskResult]:
         if not tasks:
             return []
-        capture = bool(get_metrics().enabled)
+        endpoints = self._ensure_endpoints()
+        chunks: List[ChunkResult] = []
         scheduler = WorkStealingScheduler(
-            self._ensure_endpoints(),
+            endpoints,
             cost_model=self.cost_model,
             chunk_factor=self.chunk_factor,
             min_chunk=self.min_chunk,
             tick_seconds=self.tick_seconds,
-            on_telemetry=self._merge_telemetry,
+            on_telemetry=chunks.append,
         )
         with get_tracer().span(
             "fabric.dispatch",
             tasks=len(tasks),
-            workers=self.max_workers,
-            schedule="stealing",
+            workers=len(endpoints),
+            backend=self.name,
         ):
-            results = scheduler.execute(
-                tasks,
-                persist=persist,
-                capture_telemetry=capture,
-                span_buffer_size=self.span_buffer_size,
-                make_result=lambda index, value, error: TaskResult(
-                    index=index,
-                    value=value,
-                    error=error,
-                    label=tasks[index].label,
-                ),
-            )
+            try:
+                results = scheduler.execute(
+                    tasks,
+                    persist=persist,
+                    capture_telemetry=bool(get_metrics().enabled),
+                    span_buffer_size=self.span_buffer_size,
+                    make_result=lambda index, value, error: TaskResult(
+                        index=index,
+                        value=value,
+                        error=error,
+                        label=tasks[index].label,
+                    ),
+                )
+            finally:
+                # Fold worker telemetry in task order, not arrival order:
+                # gauges merge last-write-wins, so this keeps them
+                # independent of which worker finished first.
+                for chunk in sorted(
+                    chunks, key=lambda chunk: max(i for i, _, _ in chunk.outcomes)
+                ):
+                    if chunk.metrics_state is not None:
+                        get_metrics().merge(chunk.metrics_state)
+                    if chunk.spans:
+                        get_tracer().absorb(chunk.spans, worker=chunk.pid)
         self.last_scheduler = scheduler
         return results
 
@@ -631,66 +514,18 @@ class StealingRunner(ProcessRunner):
             self._endpoints = None
 
 
-class AutoRunner(TaskRunner):
-    """Picks a backend per batch: serial for small work, processes else.
+def parse_worker_addresses(
+    workers: Sequence[Union[str, Tuple[str, int]]],
+) -> List[Tuple[str, int]]:
+    """Parse ``host:port`` worker specs (commas and repeats both work).
 
-    The crossover is ``min_tasks`` tasks *and* at least two effective
-    workers (``min(max_workers, cpu_count)``) — a single-core box or a
-    two-point sweep never pays pool startup for nothing.
+    ``(host, port)`` pairs are accepted too and get the same checks.
     """
-
-    name = "auto"
-
-    def __init__(
-        self,
-        max_workers: Optional[int] = None,
-        min_tasks: int = 4,
-        chunk_size: Optional[int] = None,
-        store: Optional[ResultStore] = None,
-    ) -> None:
-        self.max_workers = max_workers
-        self.min_tasks = max(1, min_tasks)
-        self.store = store
-        self._serial = SerialRunner()
-        # An explicit chunk_size pins the static path; the default is
-        # the work-stealing scheduler (strictly better on skewed costs,
-        # equivalent on uniform ones).
-        if chunk_size is not None:
-            self._process: TaskRunner = ProcessRunner(
-                max_workers=max_workers, chunk_size=chunk_size
-            )
-        else:
-            self._process = StealingRunner(max_workers=max_workers, store=store)
-
-    def effective_workers(self) -> int:
-        cpu = os.cpu_count() or 1
-        return min(self.max_workers or cpu, cpu)
-
-    def select(self, task_count: int) -> TaskRunner:
-        """The backend a batch of ``task_count`` tasks would use."""
-        if task_count >= self.min_tasks and self.effective_workers() >= 2:
-            return self._process
-        return self._serial
-
-    def _run_batch(
-        self,
-        tasks: List[Task],
-        persist: Optional[Callable[[int, TaskResult], None]],
-    ) -> List[TaskResult]:
-        # Delegate to the selected backend's raw batch hook: caching
-        # already happened in this runner's ``run``, so the sub-runner
-        # must not consult its own (unset) store again.
-        return self.select(len(tasks))._run_batch(tasks, persist)
-
-    def close(self) -> None:
-        self._process.close()
-
-
-def parse_worker_addresses(workers: Sequence[str]) -> List[Tuple[str, int]]:
-    """Parse ``host:port`` worker specs (commas and repeats both work)."""
     addresses: List[Tuple[str, int]] = []
     for spec in workers:
-        for part in str(spec).split(","):
+        if not isinstance(spec, str):
+            spec = f"{spec[0]}:{spec[1]}"
+        for part in spec.split(","):
             part = part.strip()
             if not part:
                 continue
@@ -715,36 +550,28 @@ def get_runner(
     jobs: Optional[int] = None,
     store: Optional[ResultStore] = None,
     workers: Optional[Sequence[str]] = None,
-    schedule: Optional[str] = None,
 ) -> TaskRunner:
-    """Map the CLI's ``--jobs``/``--workers``/``--schedule`` onto a backend.
+    """Map the CLI's ``--jobs``/``--workers`` onto a backend.
 
     ``workers`` (a list of ``host:port`` specs) selects the remote
     fabric: a :class:`~repro.parallel.remote.RemoteRunner` driving
     ``parole worker serve`` processes over the length-prefixed JSON
-    socket protocol.  Otherwise ``jobs`` picks the local backend:
+    socket protocol.  Otherwise ``jobs`` sizes the local fabric:
     ``None``/``0``/``1`` — :class:`SerialRunner` (the default keeps
-    current behaviour); ``N > 1`` — the work-stealing
-    :class:`StealingRunner` with ``N`` workers (``schedule="static"``
-    falls back to the chunked :class:`ProcessRunner`); any negative
-    value — :class:`AutoRunner` (use every core when the batch is big
-    enough).  ``store`` attaches a result store (``--cache DIR``):
+    current behaviour); ``N > 1`` — :class:`StealingRunner` with ``N``
+    worker processes; any negative value — one worker per core
+    (``os.cpu_count()``), which is :class:`SerialRunner` on a one-core
+    machine.  ``store`` attaches a result store (``--cache DIR``):
     every backend then consults it before dispatch and persists task
     results as they complete — with remote workers it doubles as the
     shared dedupe cache.
     """
-    if schedule is not None and schedule not in ("stealing", "static"):
-        raise ValueError(
-            f"schedule must be 'stealing' or 'static', not {schedule!r}"
-        )
     if workers:
         from .remote import RemoteRunner
 
-        return RemoteRunner(parse_worker_addresses(workers), store=store)
-    if jobs is None or jobs in (0, 1):
+        return RemoteRunner(workers, store=store)
+    if jobs is not None and jobs < 0:
+        jobs = os.cpu_count() or 1
+    if jobs is None or jobs <= 1:
         return SerialRunner(store=store)
-    if jobs < 0:
-        return AutoRunner(store=store)
-    if schedule == "static":
-        return ProcessRunner(max_workers=jobs, store=store)
     return StealingRunner(max_workers=jobs, store=store)

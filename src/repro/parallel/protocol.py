@@ -43,7 +43,6 @@ import hmac
 import importlib
 import json
 import os
-import platform
 import socket
 import struct
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -51,6 +50,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..errors import ReproError
 from ..store import STORE_SCHEMA_VERSION, code_fingerprint
 from ..store.codec import CodecError, decode, encode
+from ..telemetry.manifest import env_fingerprint
 from .worker import TaskError
 
 __all__ = [
@@ -161,20 +161,15 @@ def recv_frame(sock: socket.socket) -> Dict[str, Any]:
 # -- handshake -------------------------------------------------------
 
 
-def _env_summary() -> Dict[str, Any]:
-    """The environment facts that must match for bit-identical floats."""
-    try:
-        import numpy as np
+#: The environment facts that must match for bit-identical floats.
+#: ``cpu_count`` is deliberately absent: it never changes a result.
+_HANDSHAKE_ENV_KEYS = ("python_version", "python_impl", "numpy_version", "machine")
 
-        numpy_version: Optional[str] = np.__version__
-    except Exception:  # pragma: no cover - numpy is a hard dep today
-        numpy_version = None
-    return {
-        "python_version": platform.python_version(),
-        "python_impl": platform.python_implementation(),
-        "numpy_version": numpy_version,
-        "machine": platform.machine(),
-    }
+
+def _env_summary() -> Dict[str, Any]:
+    """The handshake's slice of :func:`~repro.telemetry.manifest.env_fingerprint`."""
+    fingerprint = env_fingerprint()
+    return {key: fingerprint[key] for key in _HANDSHAKE_ENV_KEYS}
 
 
 def hello_message(

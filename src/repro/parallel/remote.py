@@ -12,11 +12,12 @@ Two halves:
   answered while chunks execute.  A dropped client never kills the
   server: it returns to ``accept`` and serves the reconnect.
 
-* :class:`RemoteRunner` — a :class:`~.fabric.TaskRunner` that drives
-  one or more ``host:port`` workers through the same
-  :class:`~.scheduler.WorkStealingScheduler` as the local stealing
-  backend: LPT local queues per endpoint, adaptive chunks, steal-half
-  rebalancing, and churn handling — a worker that disconnects or times
+* :class:`RemoteRunner` — the fabric runner
+  (:class:`~.fabric.StealingRunner`) with socket endpoints: one or more
+  ``host:port`` workers driven by the same
+  :class:`~.scheduler.WorkStealingScheduler` as local pipe workers —
+  LPT local queues per endpoint, adaptive chunks, steal-half
+  rebalancing, and churn handling: a worker that disconnects or times
   out has its tasks requeued (exactly once) and is reconnected with
   backoff.  Combined with a shared content-addressed
   :class:`~repro.store.ResultStore` (``store=``), many coordinator
@@ -38,12 +39,12 @@ import os
 import socket
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import ParallelError
 from ..store import ResultStore
 from ..telemetry import get_metrics, get_tracer
-from .fabric import Task, TaskResult, TaskRunner
+from .fabric import StealingRunner, parse_worker_addresses
 from .protocol import (
     ConnectionClosed,
     HandshakeRefused,
@@ -58,12 +59,7 @@ from .protocol import (
     recv_frame,
     send_frame,
 )
-from .scheduler import (
-    EndpointDied,
-    TaskCostModel,
-    WorkerEndpoint,
-    WorkStealingScheduler,
-)
+from .scheduler import EndpointDied, TaskCostModel, WorkerEndpoint
 from .worker import ChunkPayload, ChunkResult, init_worker, run_chunk
 
 __all__ = ["WorkerServer", "RemoteRunner"]
@@ -536,15 +532,17 @@ class _RemoteEndpoint(WorkerEndpoint):
             self._sock = None
 
 
-class RemoteRunner(TaskRunner):
-    """Work-stealing fabric over socket-connected worker hosts.
+class RemoteRunner(StealingRunner):
+    """The fabric runner over socket-connected worker hosts.
 
-    ``addresses`` are ``(host, port)`` pairs (``parole worker serve``
-    processes).  Endpoints are connected lazily on the first non-empty
-    batch and reused across ``run`` calls.  With some endpoints down at
-    connect time the runner degrades to the reachable subset (recorded
-    as ``fabric.worker_unreachable``); with none reachable it raises
-    :class:`~repro.errors.ParallelError`.
+    ``addresses`` are ``host:port`` specs or ``(host, port)`` pairs
+    naming ``parole worker serve`` processes.  This class only opens
+    the sockets: with some hosts down at connect time the runner
+    degrades to the reachable subset (recorded as
+    ``fabric.worker_unreachable``), with none reachable it raises
+    :class:`~repro.errors.ParallelError`, and a handshake refusal fails
+    it loudly.  Scheduling, endpoint reuse and telemetry merging are
+    :class:`~.fabric.StealingRunner`'s.
     """
 
     name = "remote"
@@ -564,57 +562,24 @@ class RemoteRunner(TaskRunner):
         span_buffer_size: int = 4096,
         token: Optional[str] = None,
     ) -> None:
-        parsed: List[Address] = []
-        for address in addresses:
-            if isinstance(address, str):
-                host, _, port_text = address.rpartition(":")
-                parsed.append((host, int(port_text)))
-            else:
-                parsed.append((address[0], int(address[1])))
-        if not parsed:
-            raise ValueError("RemoteRunner needs at least one address")
-        self.addresses = parsed
-        self.store = store
-        self.cost_model = (
-            cost_model if cost_model is not None else TaskCostModel(store=store)
+        self.addresses = parse_worker_addresses(addresses)
+        super().__init__(
+            max_workers=len(self.addresses),
+            span_buffer_size=span_buffer_size,
+            store=store,
+            cost_model=cost_model,
+            chunk_factor=chunk_factor,
+            min_chunk=min_chunk,
+            tick_seconds=tick_seconds,
         )
         self.connect_timeout = connect_timeout
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_timeout = heartbeat_timeout
         self.reconnect_attempts = reconnect_attempts
-        self.chunk_factor = chunk_factor
-        self.min_chunk = min_chunk
-        self.tick_seconds = tick_seconds
-        self.span_buffer_size = span_buffer_size
         self.token = token
-        self.last_scheduler: Optional[WorkStealingScheduler] = None
-        self._endpoints: Optional[List[_RemoteEndpoint]] = None
 
-    def _ensure_endpoints(self) -> List[_RemoteEndpoint]:
-        if self._endpoints is not None:
-            # Endpoints are reused across batches, but a respawn that
-            # failed in a *prior* batch leaves a closed connection
-            # behind.  Give each one a fresh reconnect attempt and run
-            # this batch on the live subset; a still-dead endpoint
-            # stays in the list so later batches retry it.
-            live = [
-                endpoint
-                for endpoint in self._endpoints
-                if endpoint.connected or endpoint.respawn()
-            ]
-            dead = len(self._endpoints) - len(live)
-            if dead:
-                get_metrics().counter("fabric.worker_unreachable").inc(dead)
-                get_tracer().event(
-                    "fabric.workers_degraded", unreachable=dead
-                )
-            if not live:
-                raise ParallelError(
-                    "no remote workers reachable: every endpoint died in "
-                    "earlier batches and refused to reconnect"
-                )
-            return live
-        endpoints: List[_RemoteEndpoint] = []
+    def _open_endpoints(self) -> List[WorkerEndpoint]:
+        endpoints: List[WorkerEndpoint] = []
         failures: List[str] = []
         for address in self.addresses:
             try:
@@ -646,56 +611,4 @@ class RemoteRunner(TaskRunner):
             get_tracer().event(
                 "fabric.workers_degraded", unreachable=len(failures)
             )
-        self._endpoints = endpoints
         return endpoints
-
-    def _run_batch(
-        self,
-        tasks: List[Task],
-        persist: Optional[Callable[[int, TaskResult], None]],
-    ) -> List[TaskResult]:
-        if not tasks:
-            return []
-        capture = bool(get_metrics().enabled)
-        endpoints = self._ensure_endpoints()
-        scheduler = WorkStealingScheduler(
-            endpoints,
-            cost_model=self.cost_model,
-            chunk_factor=self.chunk_factor,
-            min_chunk=self.min_chunk,
-            tick_seconds=self.tick_seconds,
-            on_telemetry=self._merge_telemetry,
-        )
-        with get_tracer().span(
-            "fabric.dispatch",
-            tasks=len(tasks),
-            workers=len(endpoints),
-            schedule="remote",
-        ):
-            results = scheduler.execute(
-                tasks,
-                persist=persist,
-                capture_telemetry=capture,
-                span_buffer_size=self.span_buffer_size,
-                make_result=lambda index, value, error: TaskResult(
-                    index=index,
-                    value=value,
-                    error=error,
-                    label=tasks[index].label,
-                ),
-            )
-        self.last_scheduler = scheduler
-        return results
-
-    @staticmethod
-    def _merge_telemetry(chunk_result: ChunkResult) -> None:
-        if chunk_result.metrics_state is not None:
-            get_metrics().merge(chunk_result.metrics_state)
-        if chunk_result.spans:
-            get_tracer().absorb(chunk_result.spans, worker=chunk_result.pid)
-
-    def close(self) -> None:
-        if self._endpoints is not None:
-            for endpoint in self._endpoints:
-                endpoint.close()
-            self._endpoints = None

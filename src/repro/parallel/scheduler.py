@@ -1,12 +1,10 @@
 """Work-stealing scheduler for heterogeneous task costs.
 
-The static chunked pool in :mod:`.fabric` assumes tasks cost roughly
-the same: it cuts the submission list into contiguous chunks up front
-and lets idle workers pull whole chunks.  The workloads the fabric now
-carries — chaos-matrix cells, DQN training runs, streaming lanes — are
-wildly heterogeneous, and one expensive task buried in a fat chunk
-serializes behind an idle pool.  This module schedules those workloads
-honestly:
+Cutting the submission list into contiguous chunks up front assumes
+tasks cost roughly the same.  The workloads the fabric carries —
+chaos-matrix cells, DQN training runs, streaming lanes — are wildly
+heterogeneous, and one expensive task buried in a fat chunk serializes
+behind an idle pool.  This module schedules those workloads honestly:
 
 * :class:`TaskCostModel` — per-task cost estimates seeded from prior
   observed timings (optionally persisted in a ``fabric-cost:``
@@ -223,6 +221,11 @@ class WorkerEndpoint:
     ident: str = "worker"
     slots: int = 1
 
+    @property
+    def connected(self) -> bool:
+        """False once the endpoint is closed and needs :meth:`respawn`."""
+        return True
+
     def waitable(self) -> Any:
         """Object accepted by ``multiprocessing.connection.wait``."""
         raise NotImplementedError
@@ -310,10 +313,13 @@ class WorkStealingScheduler:
             self.min_chunk,
         )
         indices, state.queue = state.queue[:size], state.queue[size:]
+        # A chunk runs in index order, as a serial loop would: with the
+        # runner folding chunk telemetry by last index, a gauge every
+        # task sets ends at the last task's value.
         entries = [
             (i, tasks[i].fn, tuple(tasks[i].args), dict(tasks[i].kwargs),
              tasks[i].seed)
-            for i in indices
+            for i in sorted(indices)
         ]
         chunk_id = self._next_chunk_id
         self._next_chunk_id += 1

@@ -1,18 +1,18 @@
 """Worker-process side of the execution fabric.
 
-Everything a :class:`~repro.parallel.fabric.ProcessRunner` ships across
-the process boundary lives here as plain module-level functions and
-picklable dataclasses, so the fabric works under both ``fork`` and
-``spawn`` start methods (spawn re-imports this module in the child
-instead of inheriting the parent's memory image).
+Everything the fabric runner ships across the process boundary lives
+here as plain module-level functions and picklable dataclasses, so the
+fabric works under both ``fork`` and ``spawn`` start methods (spawn
+re-imports this module in the child instead of inheriting the parent's
+memory image).
 
 A worker receives a :class:`ChunkPayload` — a slice of the submitted
 task list — and returns a :class:`ChunkResult` carrying, per task, the
 return value (or the formatted error) plus, when the parent runs with
 telemetry enabled, a serialized metrics state and span buffer recorded
 by the worker's *own* registry/tracer.  The parent folds those into its
-registry in chunk-submission order, so ``--telemetry --jobs N`` run
-manifests carry the same counts a serial run would.
+registry in task order, so ``--telemetry --jobs N`` run manifests carry
+the same counts a serial run would.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ class ChunkResult:
 
 
 def init_worker() -> None:
-    """Process-pool initializer: start from clean telemetry backends.
+    """Worker-process initializer: start from clean telemetry backends.
 
     Under ``fork`` the child begins life holding the parent's live
     registry and tracer; anything it recorded there would be counted
@@ -171,12 +171,11 @@ def run_chunk(payload: ChunkPayload) -> ChunkResult:
 
 
 def steal_worker_main(conn) -> None:
-    """Long-lived loop for one work-stealing fabric worker.
+    """Long-lived loop for one local fabric worker.
 
-    Unlike the pool path (one ``run_chunk`` call per submission), a
-    stealing worker stays attached to its pipe for the whole batch:
-    the scheduler sends ``(chunk_id, ChunkPayload)`` messages and the
-    worker answers each with ``(chunk_id, ChunkResult)``.  ``None`` (or
+    The worker stays attached to its pipe across batches: the scheduler
+    sends ``(chunk_id, ChunkPayload)`` messages and the worker answers
+    each with ``(chunk_id, ChunkResult)``.  ``None`` (or
     a closed pipe) is the shutdown signal.  A crash inside the protocol
     machinery itself — not a task failure, which :func:`run_chunk`
     already ships as a :class:`TaskError` — is reported as a failed

@@ -234,12 +234,12 @@ class HonestStrategy(BaseStrategy):
 
 
 class ReordererStrategy(BaseStrategy):
-    """Adapter wrapping a legacy permute-only :data:`Reorderer` callable.
+    """Adapter wrapping a permute-only :data:`Reorderer` callable.
 
-    This is what the ``AdversarialAggregator(reorderer=...)`` deprecation
-    shim constructs: the callable's output is declared as a pure
-    permutation, so the generalized check enforces exactly the old
-    permute-only contract (drops or injections fall back to honest).
+    Pass it as ``AdversarialAggregator(strategy=ReordererStrategy(fn))``:
+    the callable's output is declared as a pure permutation, so the
+    generalized check enforces the permute-only contract (drops or
+    injections fall back to honest).
     """
 
     description = "legacy permute-only reorderer callable"

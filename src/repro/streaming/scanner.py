@@ -24,9 +24,8 @@ batch size.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..config import GenTranSeqConfig, _require
 from ..core.arbitrage import assess_opportunity
@@ -274,24 +273,6 @@ class BatchScanner:
     def as_strategy(self) -> "ScannerStrategy":
         """This scanner as a strategy plug-in (permute-only by contract)."""
         return ScannerStrategy(self)
-
-    def as_reorderer(
-        self,
-    ) -> Callable[[L2State, Sequence[NFTTransaction]], Sequence[NFTTransaction]]:
-        """Deprecated adapter; use :meth:`as_strategy` instead."""
-        warnings.warn(
-            "BatchScanner.as_reorderer() is deprecated; use "
-            "BatchScanner.as_strategy() with "
-            "AdversarialAggregator(strategy=...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-
-        def reorder(state: L2State, txs: Sequence[NFTTransaction]):
-            ordered, _ = self.scan(state, txs)
-            return ordered
-
-        return reorder
 
     # ------------------------------------------------------------------ #
 

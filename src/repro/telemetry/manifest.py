@@ -13,7 +13,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 import pathlib
+import platform
 import time
 import tracemalloc
 from dataclasses import dataclass, field
@@ -26,6 +28,7 @@ __all__ = [
     "RunManifest",
     "ManifestRecorder",
     "config_hash",
+    "env_fingerprint",
     "git_revision",
 ]
 
@@ -52,6 +55,37 @@ def config_hash(params: Any) -> str:
     """Stable SHA-256 over a config mapping/dataclass (order-insensitive)."""
     payload = json.dumps(_canonical(params), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+
+
+def env_fingerprint(
+    kernel_backend: Optional[str] = None,
+    extra: Optional[Mapping[str, Any]] = None,
+) -> Dict[str, Any]:
+    """The host properties that make two bench runs comparable.
+
+    Everything that moves a number without a code change belongs here:
+    core count, interpreter, numpy, OS/arch, and (for kernel benches)
+    which compiled backend actually ran.
+    """
+    try:
+        import numpy as np
+
+        numpy_version = np.__version__
+    except Exception:  # pragma: no cover - numpy is a hard dep today
+        numpy_version = None
+    fingerprint: Dict[str, Any] = {
+        "cpu_count": os.cpu_count() or 1,
+        "python_version": platform.python_version(),
+        "python_impl": platform.python_implementation(),
+        "numpy_version": numpy_version,
+        "platform": platform.system(),
+        "machine": platform.machine(),
+    }
+    if kernel_backend is not None:
+        fingerprint["kernel_backend"] = kernel_backend
+    if extra:
+        fingerprint.update(dict(extra))
+    return fingerprint
 
 
 def git_revision(root: Union[str, pathlib.Path, None] = None) -> Optional[str]:

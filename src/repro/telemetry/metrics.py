@@ -407,8 +407,7 @@ class MetricsRegistry:
         Counters add, histograms combine bucket-for-bucket, and gauges
         take the incoming value (last merge wins — callers that need
         deterministic gauges must merge worker states in a fixed order,
-        which the parallel fabric does by folding chunks in submission
-        order).  Series keys already carry their labels, so labelled
+        which the parallel fabric does by folding chunks in task order).  Series keys already carry their labels, so labelled
         series merge like any other.
         """
         for key, value in state.get("counters", {}).items():

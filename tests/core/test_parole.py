@@ -69,19 +69,26 @@ class TestRun:
 
 
 class TestReordererAdapter:
-    def test_as_reorderer_returns_permutation(self, attack, case_workload):
-        reorder = attack.as_reorderer()
-        new_order = reorder(case_workload.pre_state, case_workload.transactions)
-        assert sorted(tx.tx_hash for tx in new_order) == sorted(
-            tx.tx_hash for tx in case_workload.transactions
-        )
-
     def test_reorderer_feeds_adversarial_aggregator(self, attack, case_workload):
         from repro.rollup import AdversarialAggregator
 
-        aggregator = AdversarialAggregator("evil", attack.as_reorderer())
+        aggregator = AdversarialAggregator(
+            "evil", strategy=attack.as_strategy()
+        )
         result = aggregator.process(
             case_workload.pre_state, case_workload.transactions
         )
         assert result.reordered
         assert aggregator.rounds_attacked == 1
+
+    def test_as_strategy_shares_bookkeeping(self, attack, case_workload):
+        from repro.strategies import MempoolView
+
+        strategy = attack.as_strategy()
+        assert strategy.attack is attack
+        strategy.observe(
+            case_workload.pre_state,
+            MempoolView(transactions=tuple(case_workload.transactions)),
+        )
+        # The outcome landed on the wrapped instance.
+        assert len(attack.outcomes) == 1

@@ -2,7 +2,7 @@
 
 The fabric's determinism contract, asserted end-to-end: the fig6/fig7/
 fig9 sweeps produce **byte-identical** JSON payloads whether they run
-serially or on a process pool with 2 or 4 workers.  (fig11 is excluded
+serially or on the fabric runner with 2 or 4 workers.  (fig11 is excluded
 by design — it reports wall-clock timings, which no backend can make
 reproducible; its solutions and profits are covered by the cheaper
 parity checks in ``test_fabric``.)
@@ -22,7 +22,7 @@ from repro.experiments import (
 )
 from repro.experiments.common import QUICK
 from repro.experiments.runner import _dataclass_list
-from repro.parallel import ProcessRunner, SerialRunner
+from repro.parallel import SerialRunner, StealingRunner, get_runner
 
 
 def _payload(result) -> bytes:
@@ -83,7 +83,7 @@ def test_json_byte_identical_across_jobs_1_2_4(name):
     harness = HARNESSES[name]
     reference = _payload(harness(SerialRunner()))
     for workers in (2, 4):
-        with ProcessRunner(max_workers=workers) as runner:
+        with get_runner(workers) as runner:
             payload = _payload(harness(runner))
         assert payload == reference, (
             f"{name}: --jobs {workers} JSON differs from --jobs 1"
@@ -93,7 +93,7 @@ def test_json_byte_identical_across_jobs_1_2_4(name):
 def test_chunk_size_does_not_change_results():
     """Degenerate chunking (1 task per chunk) still matches serial."""
     reference = _payload(_run_fig6(SerialRunner()))
-    with ProcessRunner(max_workers=2, chunk_size=1) as runner:
+    with StealingRunner(max_workers=2, chunk_factor=10**6) as runner:
         assert _payload(_run_fig6(runner)) == reference
 
 
@@ -118,13 +118,11 @@ def test_cached_rerun_byte_identical_to_cold(tmp_path):
 
 
 def test_cached_process_run_matches_cached_serial(tmp_path):
-    """The store composes with the process backend: a pool warming the
+    """The store composes with the fabric runner: workers warming the
     cache and a serial rerun reading it agree byte-for-byte."""
     from repro.store import ResultStore
 
-    with ProcessRunner(
-        max_workers=2, store=ResultStore(tmp_path / "cache")
-    ) as runner:
+    with get_runner(2, store=ResultStore(tmp_path / "cache")) as runner:
         reference = _payload(_run_fig9(runner))
     warm_runner = SerialRunner(store=ResultStore(tmp_path / "cache"))
     assert _payload(_run_fig9(warm_runner)) == reference

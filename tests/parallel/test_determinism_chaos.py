@@ -1,7 +1,7 @@
 """Byte-identity across every backend × job count × adversarial skew.
 
 The fabric's contract is that scheduling is never observable in the
-output: serial, static chunks, work-stealing, and remote loopback must
+output: serial, local work-stealing workers, and remote loopback must
 produce byte-identical reports for any task-cost skew, any worker
 count, and any worker churn.  Hypothesis drives the skew; the chaos
 matrix supplies a real (fault-injected) workload on top of the
@@ -15,7 +15,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.parallel import (
-    ProcessRunner,
     SerialRunner,
     StealingRunner,
     Task,
@@ -57,10 +56,6 @@ def test_every_backend_and_job_count_is_byte_identical(durations):
     reference = _payload(SerialRunner().map(tasks))
 
     for jobs in (2, 4):
-        with ProcessRunner(max_workers=jobs) as runner:
-            assert _payload(runner.map(tasks)) == reference, (
-                f"static jobs={jobs} diverged"
-            )
         with StealingRunner(max_workers=jobs, tick_seconds=0.1) as runner:
             assert _payload(runner.map(tasks)) == reference, (
                 f"stealing jobs={jobs} diverged"
@@ -116,8 +111,6 @@ def test_chaos_matrix_is_byte_identical_on_every_backend():
         )
 
     reference = render(SerialRunner())
-    with ProcessRunner(max_workers=2) as runner:
-        assert render(runner) == reference
     with StealingRunner(max_workers=2, tick_seconds=0.1) as runner:
         assert render(runner) == reference
     with WorkerServer(jobs=2) as server:

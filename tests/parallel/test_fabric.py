@@ -9,9 +9,8 @@ import pytest
 
 from repro.errors import ParallelError
 from repro.parallel import (
-    AutoRunner,
-    ProcessRunner,
     SerialRunner,
+    StealingRunner,
     Task,
     get_runner,
     spawn_task_seeds,
@@ -105,23 +104,16 @@ class TestSerialRunner:
         assert SerialRunner().map([]) == []
 
 
-class TestProcessRunner:
+class TestFabricRunner:
     def test_matches_serial(self):
         tasks = [Task(fn=_square, args=(i,)) for i in range(23)]
-        with ProcessRunner(max_workers=2) as runner:
+        with get_runner(2) as runner:
             assert runner.map(tasks) == SerialRunner().map(tasks)
-
-    def test_order_independent_of_chunking(self):
-        tasks = [Task(fn=_square, args=(i,)) for i in range(17)]
-        expected = [i * i for i in range(17)]
-        for chunk_size in (1, 3, 17, 100):
-            with ProcessRunner(max_workers=2, chunk_size=chunk_size) as runner:
-                assert runner.map(tasks) == expected
 
     def test_seeded_tasks_match_serial(self):
         seeds = spawn_task_seeds(0, 12)
         tasks = [Task(fn=_seeded_draw, args=(1.5,), seed=s) for s in seeds]
-        with ProcessRunner(max_workers=3) as runner:
+        with get_runner(3) as runner:
             assert runner.map(tasks) == SerialRunner().map(tasks)
 
     def test_worker_failure_raises_parallel_error(self):
@@ -129,7 +121,7 @@ class TestProcessRunner:
             Task(fn=_fail_on_three, args=(i,), label=f"item#{i}")
             for i in range(6)
         ]
-        with ProcessRunner(max_workers=2) as runner:
+        with get_runner(2) as runner:
             with pytest.raises(ParallelError) as excinfo:
                 runner.map(tasks)
         # The worker-side traceback crosses the process boundary intact.
@@ -138,45 +130,14 @@ class TestProcessRunner:
 
     def test_runs_in_other_processes_when_possible(self):
         tasks = [Task(fn=_pid_of, args=(i,)) for i in range(8)]
-        with ProcessRunner(max_workers=2) as runner:
+        with get_runner(2) as runner:
             pids = set(runner.map(tasks))
         assert os.getpid() not in pids
 
-    def test_chunk_partition_covers_all_tasks(self):
-        runner = ProcessRunner(max_workers=4, chunk_size=None)
-        tasks = [Task(fn=_square, args=(i,)) for i in range(50)]
-        chunks = runner._chunks(tasks)
-        flat = [index for chunk in chunks for (index, *_rest) in chunk]
-        assert flat == list(range(50))
-
     def test_empty_batch_skips_pool_creation(self):
-        runner = ProcessRunner(max_workers=2)
+        runner = get_runner(2)
         assert runner.map([]) == []
-        assert runner._executor is None
-
-
-class TestAutoRunner:
-    def test_small_batch_selects_serial(self):
-        runner = AutoRunner(min_tasks=4)
-        assert runner.select(3) is runner._serial
-
-    def test_single_effective_worker_selects_serial(self):
-        runner = AutoRunner(max_workers=1)
-        assert runner.select(100) is runner._serial
-
-    def test_large_batch_selects_process_with_enough_cores(self):
-        runner = AutoRunner(max_workers=2, min_tasks=4)
-        expected = (
-            runner._process
-            if (os.cpu_count() or 1) >= 2
-            else runner._serial
-        )
-        assert runner.select(10) is expected
-
-    def test_results_match_serial_either_way(self):
-        tasks = [Task(fn=_square, args=(i,)) for i in range(9)]
-        with AutoRunner() as runner:
-            assert runner.map(tasks) == [i * i for i in range(9)]
+        assert runner._endpoints is None
 
 
 class TestGetRunner:
@@ -186,8 +147,13 @@ class TestGetRunner:
 
     def test_positive_jobs_size_the_pool(self):
         runner = get_runner(3)
-        assert isinstance(runner, ProcessRunner)
+        assert isinstance(runner, StealingRunner)
         assert runner.max_workers == 3
 
-    def test_negative_jobs_auto(self):
-        assert isinstance(get_runner(-1), AutoRunner)
+    def test_negative_jobs_auto(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert isinstance(get_runner(-1), SerialRunner)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        runner = get_runner(-1)
+        assert isinstance(runner, StealingRunner)
+        assert runner.max_workers == 2

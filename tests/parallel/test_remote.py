@@ -195,6 +195,11 @@ class TestLoopback:
             with runner:
                 assert runner.map(_tasks(4)) == SerialRunner().map(_tasks(4))
 
+    @pytest.mark.parametrize("spec", ["8080", ":8080", "host:"])
+    def test_malformed_address_rejected(self, spec):
+        with pytest.raises(ValueError, match="worker address"):
+            RemoteRunner([spec])
+
     def test_task_errors_come_back_with_tracebacks(self):
         tasks = [Task(fn=flaky, args=(i,), label=f"f{i}") for i in range(8)]
         with WorkerServer() as server:

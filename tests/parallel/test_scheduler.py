@@ -8,7 +8,6 @@ from repro.errors import ParallelError
 from repro.parallel import (
     ChunkResult,
     EndpointDied,
-    ProcessRunner,
     SerialRunner,
     StealingRunner,
     Task,
@@ -183,25 +182,6 @@ class TestEndpointDeath:
         assert thief.queue == [3, 0]  # the high-cost front half
         assert victim.queue == [1, 2]
         assert scheduler.steals == 1
-
-
-class TestBalancedChunks:
-    def test_explicit_chunk_size_spreads_the_remainder(self):
-        # Regression: 21 tasks at chunk_size=5 used to split 5/5/5/5/1 —
-        # the ragged singleton serialized behind an idle pool.
-        runner = ProcessRunner(max_workers=4, chunk_size=5)
-        chunks = runner._chunks(_cube_tasks(21))
-        sizes = [len(chunk) for chunk in chunks]
-        assert sizes == [5, 4, 4, 4, 4]
-        assert max(sizes) - min(sizes) <= 1
-        assert max(sizes) <= 5  # never exceeds the explicit size
-
-    @pytest.mark.parametrize("total", [1, 7, 20, 21, 33])
-    def test_balanced_chunks_cover_everything(self, total):
-        runner = ProcessRunner(max_workers=3, chunk_size=4)
-        chunks = runner._chunks(_cube_tasks(total))
-        indices = [entry[0] for chunk in chunks for entry in chunk]
-        assert indices == list(range(total))
 
 
 class TestStealingRunner:

@@ -13,7 +13,7 @@ import os
 
 import pytest
 
-from repro.parallel import ProcessRunner, SerialRunner, Task
+from repro.parallel import SerialRunner, Task, get_runner
 from repro.telemetry import (
     MetricsRegistry,
     disable_metrics,
@@ -30,6 +30,14 @@ def _clean_backends():
     yield
     disable_metrics()
     disable_tracing()
+
+
+def _task_series(series):
+    """Drop the fabric runner's own scheduling series (``fabric.*``)."""
+    return {
+        key: value for key, value in series.items()
+        if not key.startswith("fabric.")
+    }
 
 
 def _observe_once(amount):
@@ -95,12 +103,12 @@ class TestNoDoubleCounting:
         disable_metrics()
 
         registry = enable_metrics(MetricsRegistry())
-        with ProcessRunner(max_workers=2) as runner:
+        with get_runner(2) as runner:
             parallel_values = runner.map(tasks)
         parallel_state = registry.dump_state()
 
         assert parallel_values == serial_values
-        assert parallel_state["counters"] == serial_state["counters"]
+        assert _task_series(parallel_state["counters"]) == serial_state["counters"]
         hist_serial = serial_state["histograms"]["fabric_test.amount"]
         hist_parallel = parallel_state["histograms"]["fabric_test.amount"]
         assert hist_parallel["count"] == hist_serial["count"] == len(amounts)
@@ -109,23 +117,23 @@ class TestNoDoubleCounting:
         assert hist_parallel["max"] == hist_serial["max"]
 
     def test_gauges_merge_deterministically(self):
-        """Chunks fold in submission order: the last task's gauge wins."""
+        """Chunks fold in task order: the last task's gauge wins."""
         amounts = [float(i) for i in range(10)]
         tasks = [Task(fn=_observe_once, args=(a,)) for a in amounts]
         states = []
         for _ in range(2):
             registry = enable_metrics(MetricsRegistry())
-            with ProcessRunner(max_workers=2, chunk_size=3) as runner:
+            with get_runner(2) as runner:
                 runner.map(tasks)
-            states.append(registry.dump_state())
+            states.append(_task_series(registry.dump_state()["gauges"]))
             disable_metrics()
-        assert states[0]["gauges"] == states[1]["gauges"]
-        assert states[0]["gauges"]["fabric_test.last_amount"] == amounts[-1]
+        assert states[0] == states[1]
+        assert states[0]["fabric_test.last_amount"] == amounts[-1]
 
     def test_no_capture_when_telemetry_off(self):
         """With NullMetrics active, workers skip telemetry capture."""
         tasks = [Task(fn=_observe_once, args=(1.0,)) for _ in range(4)]
-        with ProcessRunner(max_workers=2) as runner:
+        with get_runner(2) as runner:
             values = runner.map(tasks)
         assert values == [1.0] * 4
         assert get_metrics().enabled is False
@@ -134,7 +142,7 @@ class TestNoDoubleCounting:
         """Reused pool workers must not carry counts across run() calls."""
         tasks = [Task(fn=_observe_once, args=(1.0,)) for _ in range(4)]
         registry = enable_metrics(MetricsRegistry())
-        with ProcessRunner(max_workers=2) as runner:
+        with get_runner(2) as runner:
             runner.map(tasks)
             first = registry.dump_state()["counters"]["fabric_test.calls"]
             runner.map(tasks)

@@ -1,7 +1,12 @@
 """Tests for honest and adversarial aggregators."""
 
+import warnings
 
+import pytest
+
+from repro.errors import ReproError
 from repro.rollup import AdversarialAggregator, Aggregator
+from repro.strategies import HonestStrategy, ReordererStrategy
 
 
 class TestHonestAggregator:
@@ -25,7 +30,9 @@ class TestAdversarialAggregator:
         def reverse(pre_state, collected):
             return tuple(reversed(collected))
 
-        aggregator = AdversarialAggregator("evil", reverse)
+        aggregator = AdversarialAggregator(
+            "evil", strategy=ReordererStrategy(reverse)
+        )
         result = aggregator.process(
             case_workload.pre_state, case_workload.transactions
         )
@@ -34,7 +41,9 @@ class TestAdversarialAggregator:
         assert aggregator.rounds_attacked == 1
 
     def test_identity_reorderer_counts_no_attack(self, case_workload):
-        aggregator = AdversarialAggregator("evil", lambda s, c: tuple(c))
+        aggregator = AdversarialAggregator(
+            "evil", strategy=ReordererStrategy(lambda s, c: tuple(c))
+        )
         result = aggregator.process(
             case_workload.pre_state, case_workload.transactions
         )
@@ -45,7 +54,9 @@ class TestAdversarialAggregator:
         def drop_one(pre_state, collected):
             return tuple(collected)[1:]
 
-        aggregator = AdversarialAggregator("evil", drop_one)
+        aggregator = AdversarialAggregator(
+            "evil", strategy=ReordererStrategy(drop_one)
+        )
         result = aggregator.process(
             case_workload.pre_state, case_workload.transactions
         )
@@ -56,8 +67,19 @@ class TestAdversarialAggregator:
             extra = list(collected) + [collected[0]]
             return tuple(extra)
 
-        aggregator = AdversarialAggregator("evil", inject)
+        aggregator = AdversarialAggregator(
+            "evil", strategy=ReordererStrategy(inject)
+        )
         result = aggregator.process(
             case_workload.pre_state, case_workload.transactions
         )
         assert result.executed_order == case_workload.transactions
+
+    def test_strategy_keyword_does_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            AdversarialAggregator("evil", strategy=HonestStrategy())
+
+    def test_no_strategy_rejected(self):
+        with pytest.raises(ReproError):
+            AdversarialAggregator("evil")

@@ -10,6 +10,7 @@ from repro.rollup import (
     RollupNode,
     Verifier,
 )
+from repro.strategies import ReordererStrategy
 from repro.workloads import generate_workload
 
 
@@ -64,7 +65,10 @@ class TestRounds:
     def test_adversarial_round_also_unchallenged(self, node_setup):
         node, workload = node_setup
         node.add_aggregator(
-            AdversarialAggregator("evil", lambda s, c: tuple(reversed(c)))
+            AdversarialAggregator(
+                "evil",
+                strategy=ReordererStrategy(lambda s, c: tuple(reversed(c))),
+            )
         )
         node.add_verifier(Verifier("ver-0"))
         for tx in workload.transactions:

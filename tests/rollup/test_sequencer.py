@@ -5,6 +5,7 @@ import pytest
 from repro.config import RollupConfig, WorkloadConfig
 from repro.errors import RollupError
 from repro.rollup import Aggregator, AdversarialAggregator, Sequencer
+from repro.strategies import ReordererStrategy
 from repro.workloads import generate_workload
 
 
@@ -84,7 +85,10 @@ class TestBlockProduction:
     def test_adversarial_aggregator_in_rotation(self, setup):
         workload, sequencer = setup
         sequencer.register(
-            AdversarialAggregator("evil", lambda s, c: tuple(reversed(c)))
+            AdversarialAggregator(
+                "evil",
+                strategy=ReordererStrategy(lambda s, c: tuple(reversed(c))),
+            )
         )
         for tx in workload.transactions:
             sequencer.submit(tx)

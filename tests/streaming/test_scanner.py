@@ -77,6 +77,22 @@ class TestPolicy:
         assert outcome.action in ("reordered", "identity")
         assert outcome.evaluations > 0
 
+    def test_as_strategy_is_permute_only(self, case_workload):
+        from repro.strategies import MempoolView
+
+        scanner = BatchScanner(
+            case_workload.ifus,
+            config=ScannerConfig(train_episodes=1, train_steps=5),
+        )
+        action = scanner.as_strategy().observe(
+            case_workload.pre_state,
+            MempoolView(transactions=tuple(case_workload.transactions)),
+        )
+        assert action.kinds == ("permute",)
+        assert sorted(tx.tx_hash for tx in action.sequence) == sorted(
+            tx.tx_hash for tx in case_workload.transactions
+        )
+
     def test_rejects_bad_config(self):
         with pytest.raises(ReproError):
             ScannerConfig(max_batch_size=1)
