@@ -25,6 +25,7 @@ import numpy as np
 from ..config import GenTranSeqConfig
 from ..drl.env_base import Environment
 from ..errors import DRLError
+from ..rollup.ckernel import kernel_backend
 from ..rollup.replay_engine import (
     BatchReplayEngine,
     EvalSummary,
@@ -83,8 +84,9 @@ class ReorderEnv(Environment):
             maxsize=self.config.evaluation_cache_size, stats=self._stats
         )
         # Columnar batch kernel, built lazily on the first multi-miss
-        # population (shares the stats object, so batch counters land in
-        # the same `replay_stats()` surface).
+        # population when the compiled kernel loads (shares the stats
+        # object, so batch counters land in the same `replay_stats()`
+        # surface).
         self._batch_engine: Optional[BatchReplayEngine] = None
         self._encoder = TransactionEncoder(pre_state, ifus)
         self._actions = swap_action_table(len(transactions))
@@ -205,7 +207,10 @@ class ReorderEnv(Environment):
         through the incremental engine (which resumes from the shared
         prefix); two or more distinct misses are scored by the columnar
         batch kernel in one :meth:`BatchReplayEngine.evaluate_many`
-        call.  Duplicate misses within the population replay once.
+        call.  When the compiled kernel cannot load
+        (``kernel_backend() == "python"``), every miss routes through the
+        incremental engine — bit-identical, only slower.  Duplicate
+        misses within the population replay once.
 
         Returns one evaluation dict per input order, positionally, each
         identical to what :meth:`evaluate_order` returns for that order
@@ -225,9 +230,7 @@ class ReorderEnv(Environment):
                 misses.setdefault(key, []).append(index)
         if misses:
             miss_keys = list(misses)
-            if len(miss_keys) == 1:
-                summaries = [self._engine.evaluate(miss_keys[0])]
-            else:
+            if len(miss_keys) > 1 and kernel_backend() == "c":
                 if self._batch_engine is None:
                     self._batch_engine = BatchReplayEngine(
                         self.pre_state,
@@ -236,6 +239,8 @@ class ReorderEnv(Environment):
                         wealth_users=self.ifus,
                     )
                 summaries = self._batch_engine.evaluate_many(miss_keys)
+            else:
+                summaries = [self._engine.evaluate(key) for key in miss_keys]
             for key, summary in zip(miss_keys, summaries):
                 cached = self._evaluation_from_summary(key, summary)
                 self._eval_cache.put(key, cached)

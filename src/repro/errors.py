@@ -91,6 +91,10 @@ class ChallengeError(RollupError):
     """A fraud-proof challenge was invalid or raised outside its window."""
 
 
+class KernelUnavailableError(RollupError):
+    """The compiled batch replay kernel could not be built or loaded."""
+
+
 class DRLError(ReproError):
     """Base class for deep-RL substrate failures."""
 

@@ -1,4 +1,4 @@
-/* Columnar batch replay step loop — compiled fast path.
+/* Columnar batch replay step loop.
  *
  * Replays K candidate orderings over the compiled per-transaction role
  * tables of `BatchReplayEngine` (see replay_engine.py).  Each candidate
@@ -8,9 +8,9 @@
  * price lookup, feasibility (balance, strict ownership, supply
  * headroom, burn poisoning), then payer debit, payee credit, inventory
  * out, inventory in, fee debit, fee-pool credit, supply delta.  That
- * sequencing makes the kernel bit-identical to `IncrementalOVM` by
- * construction — including self-transfers, duplicate indices and the
- * +inf payer dummy — with no fused-scatter caveats.
+ * sequencing makes the kernel bit-identical to `OVM.replay` by
+ * construction, including self-transfers, duplicate indices and the
+ * +inf payer dummy.
  *
  * Compile with -O2 -ffp-contract=off and WITHOUT -ffast-math: floating
  * point contraction or reassociation would break the bit-identity

@@ -15,7 +15,8 @@ that:
   suffix.  Undo restores the exact stored floats, so incremental replays
   are bit-identical to :meth:`~.ovm.OVM.replay` — a property test
   (``tests/rollup/test_replay_engine.py``) enforces this for both
-  execution modes, with and without fee charging.
+  execution modes, with and without fee charging.  Indices outside the
+  collection raise ``IndexError`` before any state changes.
 * The per-step record is **columnar** (parallel lists of executed flags,
   validities, prices and remaining supplies) rather than per-step trace
   objects: the solver hot path (:meth:`IncrementalOVM.evaluate`) never
@@ -24,13 +25,15 @@ that:
   :class:`~.ovm.ReplayTrace` from the same columns for callers that want
   one.
 * :class:`BatchReplayEngine` scores **K candidate orderings per call**
-  (:meth:`~BatchReplayEngine.evaluate_many`) on columnar numpy state —
-  one ``(users, candidates)`` balance matrix, one inventory matrix, a
-  per-candidate supply vector and an executed-bitmask matrix — so
-  population-style solvers amortise the Python interpreter over whole
-  candidate sets.  Results are bit-identical to K serial
-  :class:`IncrementalOVM` evaluations (same IEEE-754 operations in the
-  same order; a differential property test enforces it).
+  (:meth:`~BatchReplayEngine.evaluate_many`) through the compiled C step
+  loop (:mod:`.ckernel`) on columnar state — one balance and one
+  inventory block per candidate, a per-candidate supply vector and
+  executed/price/supply matrices — so population-style solvers amortise
+  the Python interpreter over whole candidate sets.  Results are
+  bit-identical to ``OVM.replay`` of each order (same IEEE-754
+  operations in the same order; ``tests/rollup/test_batch_replay.py``
+  enforces it).  Without the kernel the engine cannot be built, and
+  ``ReorderEnv.evaluate_orders`` scores through :class:`IncrementalOVM`.
 * :class:`PermutationCache` memoises full evaluations by order tuple —
   DQN ε-greedy rollouts, hill climbing and annealing revisit permutations
   constantly.  It is the **single authoritative evaluation cache**: the
@@ -53,7 +56,7 @@ import numpy as np
 
 from ..telemetry import get_metrics, span
 from ..tokens import TxValidity
-from .ckernel import load_kernel
+from .ckernel import require_kernel
 from .ovm import ReplayTrace, TraceStep
 from .state import CountingInventory, ExecutionMode, L2State, StepResult
 from .transaction import NFTTransaction, TxKind
@@ -206,7 +209,7 @@ class IncrementalOVM:
     Bound to a pre-state and the N collected transactions;
     :meth:`evaluate` scores any index sequence into that collection,
     reusing the longest prefix shared with the previously evaluated
-    order.  Behaviour (per-step results, watched wealth, final state) is
+    order.  Behaviour (per-step results, final wealth, final state) is
     identical to ``OVM().replay`` on the materialised sequence — see
     :meth:`replay_order` for the trace-shaped view.
     """
@@ -215,18 +218,16 @@ class IncrementalOVM:
         self,
         pre_state: L2State,
         transactions: Sequence[NFTTransaction],
-        watch: Sequence[str] = (),
         mode: Optional[ExecutionMode] = None,
         stats: Optional[ReplayEngineStats] = None,
         wealth_users: Sequence[str] = (),
     ) -> None:
         self.pre_state = pre_state
         self.transactions = tuple(transactions)
-        self.watch = tuple(watch)
         self.mode = mode
         self.stats = stats if stats is not None else ReplayEngineStats()
         #: Users whose *final* wealth :meth:`evaluate` reports (the
-        #: environment passes its IFUs; per-step sampling uses ``watch``).
+        #: environment passes its IFUs).
         self.wealth_users = tuple(wealth_users)
         self._mode = mode if mode is not None else pre_state.mode
         self._strict = self._mode is ExecutionMode.STRICT
@@ -256,7 +257,6 @@ class IncrementalOVM:
         self._c_validity: List[TxValidity] = []
         self._c_price: List[float] = []
         self._c_remaining: List[int] = []
-        self._c_wealth: List[Tuple[Tuple[str, float], ...]] = []
         self._undos: List[Tuple[_UndoEntry, ...]] = []
 
     # ------------------------------------------------------------------ #
@@ -298,8 +298,8 @@ class IncrementalOVM:
     def replay_order(self, order: Sequence[int]) -> ReplayTrace:
         """Replay ``order`` and materialise a full :class:`ReplayTrace`.
 
-        Orders may be any length up to N (prefix evaluation works); each
-        index must be within the collection.  The returned trace owns an
+        Orders may be any length (prefix evaluation works); each index
+        must be within the collection.  The returned trace owns an
         independent snapshot of the final state, so it stays valid after
         further evaluations.  Per-step results are bit-identical to
         ``OVM().replay`` on the materialised sequence.
@@ -309,8 +309,6 @@ class IncrementalOVM:
         table = self._price_table
         price = self._pricing.price
         transactions = self.transactions
-        watch = self.watch
-        wealth_col = self._c_wealth
         steps: List[TraceStep] = []
         rows = zip(
             self._order, self._c_exec, self._c_validity, self._c_price, self._c_remaining
@@ -330,29 +328,10 @@ class IncrementalOVM:
                         price_after=after,
                         remaining_supply=remaining,
                     ),
-                    watched_wealth=wealth_col[position] if watch else (),
+                    watched_wealth=(),
                 )
             )
-        return ReplayTrace(
-            steps=steps, final_state=self._snapshot(), watched_users=watch
-        )
-
-    def replay(
-        self,
-        transactions: Sequence[NFTTransaction],
-        watch: Sequence[str] = (),
-    ) -> ReplayTrace:
-        """`OVM.replay`-shaped convenience over the bound collection.
-
-        ``transactions`` must be drawn from the engine's collection; they
-        are resolved to indices by identity first, equality second.
-        """
-        if tuple(watch) != self.watch:
-            raise ValueError(
-                "watch set is fixed at engine construction; "
-                f"expected {self.watch!r}"
-            )
-        return self.replay_order(self._resolve(transactions))
+        return ReplayTrace(steps=steps, final_state=self._snapshot(), watched_users=())
 
     def reset(self) -> None:
         """Drop the cached working state; next replay starts from scratch."""
@@ -365,42 +344,33 @@ class IncrementalOVM:
         self._c_validity = []
         self._c_price = []
         self._c_remaining = []
-        self._c_wealth = []
         self._undos = []
 
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
 
-    def _resolve(
-        self, transactions: Sequence[NFTTransaction]
-    ) -> Tuple[int, ...]:
-        by_id = {id(tx): i for i, tx in enumerate(self.transactions)}
-        order = []
-        for tx in transactions:
-            index = by_id.get(id(tx))
-            if index is None:
-                try:
-                    index = self.transactions.index(tx)
-                except ValueError:
-                    raise ValueError(
-                        f"transaction {tx!r} is not in the bound collection"
-                    ) from None
-            order.append(index)
-        return tuple(order)
-
     def _advance(self, order: Tuple[int, ...]) -> None:
-        """Bring the working state to ``order`` (rewind + run suffix)."""
-        if self._balances is None:
+        """Bring the working state to ``order`` (rewind + run suffix).
+
+        The new suffix's indices are range-checked once, before anything
+        changes (the shared prefix was checked when it was applied), so
+        a rejected order leaves the engine exactly where it was.
+        """
+        fresh = self._balances is None
+        prefix = 0 if fresh else self._common_prefix(order)
+        if prefix < len(order):
+            suffix = order[prefix:] if prefix else order
+            if min(suffix) < 0 or max(suffix) >= len(self._meta):
+                raise IndexError("order index outside the bound collection")
+        if fresh:
             pre = self.pre_state
             self._balances = dict(pre.balances)
             self._inventory = dict(pre.inventory)
             self._total = sum(self._inventory.values())
             self._neg = sum(1 for held in self._inventory.values() if held < 0)
             self.stats.scratch_replays += 1
-            prefix = 0
         else:
-            prefix = self._common_prefix(order)
             self.stats.incremental_replays += 1
             self.stats.resume_depth_total += prefix
         self._rewind_to(prefix)
@@ -427,8 +397,6 @@ class IncrementalOVM:
         undos = self._undos
         c_exec, c_validity = self._c_exec, self._c_validity
         c_price, c_remaining = self._c_price, self._c_remaining
-        c_wealth = self._c_wealth
-        watch = self.watch
         undone = 0
         while len(applied) > prefix:
             applied.pop()
@@ -436,8 +404,6 @@ class IncrementalOVM:
             c_validity.pop()
             c_price.pop()
             c_remaining.pop()
-            if watch:
-                c_wealth.pop()
             for is_inventory, key, prior in reversed(undos.pop()):
                 if is_inventory:
                     current = inventory[key]
@@ -485,7 +451,6 @@ class IncrementalOVM:
         price_of = self._pricing.price
         strict = self._strict
         charge = self._charge
-        watch = self.watch
         fee_pool = L2State.FEE_POOL
         missing = _MISSING
         bget = balances.get
@@ -495,7 +460,6 @@ class IncrementalOVM:
         validity_append = self._c_validity.append
         price_append = self._c_price.append
         remaining_append = self._c_remaining.append
-        wealth_append = self._c_wealth.append
         undo_append = self._undos.append
         valid = TxValidity.VALID
         supply_exhausted = TxValidity.SUPPLY_EXHAUSTED
@@ -602,16 +566,6 @@ class IncrementalOVM:
                 price_append(price)
                 remaining_append(remaining)
                 order_append(tx_index)
-                if watch:
-                    current_price = (
-                        table[remaining] if table is not None else price_of(remaining)
-                    )
-                    wealth_append(
-                        tuple(
-                            (user, bget(user, 0.0) + iget(user, 0) * current_price)
-                            for user in watch
-                        )
-                    )
         finally:
             self._total = total
             self._neg = neg
@@ -635,7 +589,8 @@ class BatchReplayEngine:
 
     Bound, like :class:`IncrementalOVM`, to one pre-state and one fixed
     transaction collection.  :meth:`evaluate_many` replays every
-    candidate simultaneously on column-major numpy state (cell
+    candidate through the compiled C step loop (``_batch_replay.c``,
+    loaded by :mod:`.ckernel`) on column-major state (cell
     ``candidate * rows + row`` — each candidate owns one contiguous
     state block):
 
@@ -645,28 +600,26 @@ class BatchReplayEngine:
     * executed / price / remaining matrices — ``(L, K)``, one row per
       position, exactly the serial engine's per-step columns.
 
-    The step loop is kind-agnostic: each transaction is pre-compiled to
-    *payer / payee / inventory-increment / inventory-decrement* row
-    indices (dummy rows absorb the roles a kind doesn't have — the payer
-    dummy holds ``+inf`` so "no payment required" never fails the balance
-    check, the sink row absorbs dead writes and is excluded from the
-    consistency scan).  Two interchangeable backends execute the steps
-    (``kernel_backend`` reports which): the primary path is a lazily
-    compiled C step loop (``_batch_replay.c``, built with
-    ``-ffp-contract=off`` so every FLOP stays a plain IEEE-754 double
-    op) that runs each candidate's steps in the serial engine's exact
-    operation order; when no compiler is available — or
-    ``REPRO_BATCH_CKERNEL=0`` is set — a vectorised numpy fallback
-    advances all K candidates through position ``t`` with ~20 array
-    operations regardless of K.
+    The kernel's step is kind-agnostic: each transaction is pre-compiled
+    to *payer / payee / inventory-increment / inventory-decrement / fee*
+    row indices (dummy rows absorb the roles a kind doesn't have — the
+    payer dummy holds ``+inf`` so "no payment required" never fails the
+    balance check, the owner dummy keeps mints owner-valid, the sink row
+    absorbs dead writes and is excluded from the consistency scan).
 
-    Bit-identity with the serial engine is a hard contract: the kernel
-    performs the same IEEE-754 additions/subtractions in the same order
-    (including the buyer-write-before-seller-read sequencing that makes
-    self-transfers exact), indexes the same Eq. 10 price table, and a
-    burn past the global supply raises the same ``TokenError`` a serial
-    replay's price read would.  ``tests/rollup/test_batch_replay.py``
-    enforces equivalence property-wise, reverting candidates included.
+    Bit-identity with ``OVM.replay`` is a hard contract: the kernel is
+    built with ``-ffp-contract=off`` so every FLOP stays a plain
+    IEEE-754 double op, runs each candidate's steps in the OVM's exact
+    operation order (including the buyer-write-before-seller-read
+    sequencing that makes self-transfers exact), indexes the same Eq. 10
+    price table, and a burn past the global supply raises the same
+    ``TokenError`` a serial replay's price read would.
+    ``tests/rollup/test_batch_replay.py`` enforces equivalence
+    property-wise, reverting candidates included.
+
+    Construction raises :class:`~repro.errors.KernelUnavailableError`
+    when the kernel cannot load; ``ReorderEnv.evaluate_orders`` then
+    scores every candidate through :class:`IncrementalOVM` instead.
 
     The engine is stateless between calls and keeps **no cache**: the
     environment's :class:`PermutationCache` is the single authority for
@@ -685,6 +638,7 @@ class BatchReplayEngine:
         stats: Optional[ReplayEngineStats] = None,
         wealth_users: Sequence[str] = (),
     ) -> None:
+        self._ckernel = require_kernel()
         self.pre_state = pre_state
         self.transactions = tuple(transactions)
         self.stats = stats if stats is not None else ReplayEngineStats()
@@ -701,9 +655,9 @@ class BatchReplayEngine:
         self._initial_price = pre_state.nft_config.initial_price_eth
 
         # ---- user-row layout ------------------------------------------- #
-        # Real users first (balances, inventory, tx participants, watched
-        # wealth users), then the three dummy rows the kind-agnostic step
-        # loop scatters through.
+        # Real users first (balances, inventory, tx participants, wealth
+        # users), then the three dummy rows the kind-agnostic step loop
+        # scatters through.
         rows: Dict[str, int] = {}
         for user in pre_state.balances:
             rows.setdefault(user, len(rows))
@@ -716,7 +670,6 @@ class BatchReplayEngine:
         rows.setdefault(L2State.FEE_POOL, len(rows))
         for user in self.wealth_users:
             rows.setdefault(user, len(rows))
-        self._rows = rows
         self._n_real = len(rows)
         self._pay_dummy = self._n_real        # +inf balance: payment always ok
         self._own_dummy = self._n_real + 1    # huge inventory: ownership always ok
@@ -743,8 +696,7 @@ class BatchReplayEngine:
         self._pay_row = np.empty(n, dtype=np.intp)   # debited by `price`
         self._recv_row = np.empty(n, dtype=np.intp)  # credited by `price`
         self._inc_row = np.empty(n, dtype=np.intp)   # inventory + 1
-        self._dec_row = np.empty(n, dtype=np.intp)   # inventory - 1
-        self._own_row = np.empty(n, dtype=np.intp)   # strict ownership check
+        self._dec_row = np.empty(n, dtype=np.intp)   # inventory - 1, ownership
         self._fee_row = np.empty(n, dtype=np.intp)   # debited by `total_fee`
         self._is_mint = np.zeros(n, dtype=bool)
         self._is_burn = np.zeros(n, dtype=bool)
@@ -760,11 +712,10 @@ class BatchReplayEngine:
                 self._recv_row[i] = self._sink
                 self._inc_row[i] = sender
                 # Decrement the owner dummy rather than the sink: the
-                # strict ownership check then always reads the dec row
-                # (one shared gather), and the dummy's huge stock keeps
-                # mints owner-valid for any batch horizon.
+                # strict ownership check reads the dec row, and the
+                # dummy's huge stock keeps mints owner-valid for any
+                # batch horizon.
                 self._dec_row[i] = self._own_dummy
-                self._own_row[i] = self._own_dummy
                 self._dsupply[i] = 1
             elif tx.kind is TxKind.TRANSFER:
                 recipient = rows[tx.recipient]
@@ -772,38 +723,13 @@ class BatchReplayEngine:
                 self._recv_row[i] = sender
                 self._inc_row[i] = recipient
                 self._dec_row[i] = sender
-                self._own_row[i] = sender
             else:  # BURN
                 self._is_burn[i] = True
                 self._pay_row[i] = self._pay_dummy
                 self._recv_row[i] = self._sink
                 self._inc_row[i] = self._sink
                 self._dec_row[i] = sender
-                self._own_row[i] = sender
                 self._dsupply[i] = -1
-        self._collection_mints = int(self._is_mint.sum())
-        self._collection_burns = int(self._is_burn.sum())
-        # Stacked role pairs: one setup gather yields both halves.
-        self._payrecv_row = np.stack([self._pay_row, self._recv_row])
-        self._decinc_row = np.stack([self._dec_row, self._inc_row])
-        #: A transfer whose buyer is its seller must sequence the debit
-        #: before the credit (and the inventory out before in) within one
-        #: step; the fused gather/scatter pairs below would let the last
-        #: write win instead.  Compile-time flag selects the exact path.
-        self._has_self_transfer = any(
-            tx.kind is TxKind.TRANSFER and tx.recipient == tx.sender
-            for tx in self.transactions
-        )
-        # Compiled scalar step loop (optional; bit-identical).  The C ABI
-        # assumes 64-bit index arrays, so skip it on narrow platforms.
-        self._ckernel = (
-            load_kernel() if np.dtype(np.intp).itemsize == 8 else None
-        )
-
-    @property
-    def kernel_backend(self) -> str:
-        """``"c"`` when the compiled step loop is active, else ``"numpy"``."""
-        return "c" if self._ckernel is not None else "numpy"
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -813,28 +739,26 @@ class BatchReplayEngine:
         """Score K candidate orderings in one columnar replay.
 
         Returns one :class:`EvalSummary` per input order, positionally,
-        each bit-identical to ``IncrementalOVM.evaluate`` on the same
-        order.  Orders of different lengths are grouped and replayed per
-        length.  A candidate whose replay would raise (a burn past the
-        global supply) raises the identical ``TokenError`` here — the
-        whole call fails, exactly as a serial scoring loop would fail at
-        that candidate.
+        each bit-identical to ``IncrementalOVM.evaluate`` (and so to
+        ``OVM.replay``) on the same order.  Orders of different lengths
+        are grouped and replayed per length.  A candidate whose replay
+        would raise (a burn past the global supply) raises the identical
+        ``TokenError`` here — the whole call fails, exactly as a serial
+        scoring loop would fail at that candidate.
         """
         keys = [tuple(order) for order in orders]
         if not keys:
             return []
         self.stats.batch_calls += 1
         self.stats.batch_candidates += len(keys)
-        with span(
-            "replay.batch_kernel", k=len(keys), backend=self.kernel_backend
-        ):
+        with span("replay.batch_kernel", k=len(keys)):
             by_length: Dict[int, List[int]] = {}
             for index, key in enumerate(keys):
                 by_length.setdefault(len(key), []).append(index)
             results: List[Optional[EvalSummary]] = [None] * len(keys)
             for length, indices in by_length.items():
                 for slot, summary in zip(
-                    indices, self._run([keys[i] for i in indices], length)
+                    indices, self._replay([keys[i] for i in indices], length)
                 ):
                     results[slot] = summary
             return results  # type: ignore[return-value]
@@ -854,7 +778,8 @@ class BatchReplayEngine:
             return self._table[remaining]
         return self._max_supply / np.maximum(remaining, 1) * self._initial_price
 
-    def _run(self, keys: List[Tuple[int, ...]], length: int) -> List[EvalSummary]:
+    def _replay(self, keys: List[Tuple[int, ...]], length: int) -> List[EvalSummary]:
+        """Run one group of equal-length orders through the kernel."""
         k = len(keys)
         self.stats.batch_steps += length * k
         flat = np.fromiter(
@@ -864,22 +789,6 @@ class BatchReplayEngine:
             flat.min() < 0 or flat.max() >= len(self.transactions)
         ):
             raise IndexError("order index outside the bound collection")
-        if self._ckernel is not None:
-            state = self._steps_compiled(flat, k, length)
-        else:
-            state = self._steps_numpy(flat, k, length)
-        return self._summarise(keys, k, state)
-
-    def _steps_compiled(
-        self, flat: np.ndarray, k: int, length: int
-    ) -> Tuple[np.ndarray, ...]:
-        """Step loop via the compiled scalar kernel (see :mod:`ckernel`).
-
-        The C loop walks each candidate's steps as sequential scalar
-        IEEE-754 operations in the serial engine's exact order, so it is
-        bit-identical by construction — no fused-scatter, deferred
-        inventory or guard-precheck reasoning required.
-        """
         max_supply = self._max_supply
         bal = np.tile(self._base_balances, k)
         inv = np.tile(self._base_inventory, k)
@@ -922,210 +831,22 @@ class BatchReplayEngine:
             # the poisoned candidate's pre-step remaining supply).
             dead = max_supply - int(rem[bad])
             self._pricing.price(max_supply - dead + 1)
-        return exec_mat.view(bool), price_mat, rem_mat, bal, inv, rem
-
-    def _steps_numpy(
-        self, flat: np.ndarray, k: int, length: int
-    ) -> Tuple[np.ndarray, ...]:
-        """Pure-numpy step loop: vectorised across candidates per step."""
-        orders = flat.reshape(k, length).T  # (L, K)
-        strict = self._strict
-        charge = self._charge
-        max_supply = self._max_supply
-        initial_total = self._initial_total
-        n_rows = self._n_rows
-        # State lives in flat column-major vectors (cell = col * n_rows +
-        # row): each candidate owns one contiguous copy of the base state,
-        # so the whole-batch role gathers below need only a per-candidate
-        # offset add (no multiply), and every step is 1-D gather/scatter —
-        # measurably cheaper than 2-D (rows, cols) fancy indexing at
-        # small K.
-        colbase = np.arange(k) * n_rows
-        pr2 = self._payrecv_row[:, orders] + colbase  # (2, L, K)
-        di2 = self._decinc_row[:, orders] + colbase
-        pay_f, recv_f = pr2[0], pr2[1]
-        dec_f, inc_f = di2[0], di2[1]
-        ds = self._dsupply[orders]
-        ds_live = (ds != 0).any(axis=1).tolist()
-        bal = np.tile(self._base_balances, k)
-        inv = np.tile(self._base_inventory, k)
-        rem = np.full(k, max_supply - initial_total, dtype=np.int64)
-        exec_rows: List[np.ndarray] = []
-        price_rows: List[np.ndarray] = []
-        rem_rows: List[np.ndarray] = []
-
-        # Non-strict replay never *reads* inventory mid-loop (no ownership
-        # checks; consistency and wealth only need the final counts), so
-        # the per-step inventory updates are deferred to two bincounts
-        # over the executed matrix after the loop.
-        defer_inv = not strict
-        # The payer/payee (and inventory out/in) cell pairs of one step
-        # never collide unless the collection holds a self-transfer, so
-        # each pair can share one fused gather + scatter; a self-transfer
-        # must sequence the debit before the credit instead.
-        fused = not self._has_self_transfer
-        if fused:
-            payrecv_rows = pr2.transpose(1, 0, 2).reshape(length, 2 * k)
-            if not defer_inv:
-                decinc_rows = di2.transpose(1, 0, 2).reshape(length, 2 * k)
-        elif strict:
-            own_rows = self._own_row[orders] + colbase
-        if charge:
-            fee_rows = self._fee_row[orders] + colbase
-            fee_amt_rows = self._fees[orders]
-            pool = bal.reshape(k, n_rows)[:, self._pool_row]
-        # Eq. 1 headroom: exhausting the supply needs more than
-        # `max_supply - initial_total` *executed mints* before some step,
-        # so the check is provably dead — and skipped wholesale — unless a
-        # candidate carries that many mint entries.
-        headroom = max_supply - initial_total
-        can_exhaust = length > headroom and self._collection_mints > headroom
-        if can_exhaust:
-            mint = self._is_mint[orders]
-            if int(mint.sum(axis=0).max(initial=0)) <= headroom:
-                can_exhaust = False
-            else:
-                mint_rows = list(mint)
-                mint_live = mint.any(axis=1).tolist()
-        # Burn poisoning (Eq. 10 undefined past max supply) needs
-        # `initial_total` executed burns before some step; same wholesale
-        # skip when no candidate carries that many burn entries.
-        burn_possible = length > initial_total and self._collection_burns > 0
-        if burn_possible:
-            burn = self._is_burn[orders]
-            if int(burn.sum(axis=0).max(initial=0)) < initial_total:
-                burn_possible = False
-            else:
-                burn_rows = list(burn)
-        table = self._table
-        init_price = self._initial_price
-        own_ok = None
-
-        exec_append = exec_rows.append
-        price_append = price_rows.append
-        rem_append = rem_rows.append
-        general_steps = length
-        if (
-            fused
-            and defer_inv
-            and not charge
-            and not can_exhaust
-            and not burn_possible
-            and table is not None
-        ):
-            # Branch-free specialisation of the loop below for the common
-            # configuration (non-strict, fee-less, guards provably dead):
-            # seven numpy ops per step regardless of K.
-            for prt, dst, live in zip(payrecv_rows, ds, ds_live):
-                price = table[rem]
-                b2k = bal[prt]
-                pb, rb = b2k[:k], b2k[k:]
-                executed = pb >= price
-                delta = price * executed
-                pb -= delta
-                rb += delta
-                bal[prt] = b2k
-                if live:
-                    rem = rem - dst * executed
-                exec_append(executed)
-                price_append(price)
-                rem_append(rem)
-            general_steps = 0  # the general loop below has nothing to do
-
-        for t in range(general_steps):
-            # Eq. 10 price before the step (`rem` is the previous step's
-            # remaining supply).
-            if table is not None:
-                price = table[rem]
-            else:
-                price = max_supply / np.maximum(rem, 1) * init_price
-            if fused:
-                prt = payrecv_rows[t]
-                b2k = bal[prt]
-                pb, rb = b2k[:k], b2k[k:]
-                executed = pb >= price
-                if strict:
-                    # The dec row doubles as the ownership row (mints
-                    # point theirs at the owner dummy), so the strict
-                    # check rides the inventory gather.
-                    dit = decinc_rows[t]
-                    i2k = inv[dit]
-                    di, ii = i2k[:k], i2k[k:]
-                    own_ok = di >= 1
-                    executed &= own_ok
-            else:
-                prt = pay_f[t]
-                pb = bal[prt]
-                executed = pb >= price
-                if strict:
-                    own_ok = inv[own_rows[t]] >= 1
-                    executed &= own_ok
-            if can_exhaust and mint_live[t]:
-                # Eq. 1: a mint additionally needs supply headroom.
-                executed &= ~mint_rows[t] | (rem >= 1)
-            if burn_possible and t >= initial_total:
-                # `rem >= max_supply` ⇔ no live token left to burn.
-                poisoned = burn_rows[t] & (rem >= max_supply)
-                if strict:
-                    poisoned &= own_ok
-                if poisoned.any():
-                    # Identical failure to the serial engine: the Eq. 10
-                    # read one past max supply raises TokenError.
-                    dead = max_supply - int(rem[int(np.argmax(poisoned))])
-                    self._pricing.price(max_supply - dead + 1)
-            # Apply, sequenced exactly like the serial transition: debit
-            # the payer, then credit the payee (a self-transfer must read
-            # the debited balance), then inventory out, then inventory in.
-            delta = price * executed
-            if fused:
-                pb -= delta
-                rb += delta
-                bal[prt] = b2k
-                if not defer_inv:
-                    di -= executed
-                    ii += executed
-                    inv[dit] = i2k
-            else:
-                bal[prt] = pb - delta
-                rrt = recv_f[t]
-                bal[rrt] = bal[rrt] + delta
-                if not defer_inv:
-                    drt, irt = dec_f[t], inc_f[t]
-                    inv[drt] = inv[drt] - executed
-                    inv[irt] = inv[irt] + executed
-            if charge:
-                fdelta = fee_amt_rows[t] * executed
-                frt = fee_rows[t]
-                bal[frt] = bal[frt] - fdelta
-                pool += fdelta
-            if ds_live[t]:
-                rem = rem - ds[t] * executed
-            exec_rows.append(executed)
-            price_rows.append(price)
-            rem_rows.append(rem)
-
-        exec_mat = (
-            np.asarray(exec_rows) if length else np.empty((0, k), dtype=bool)
+        return self._summarise(
+            keys, exec_mat.view(bool), price_mat, rem_mat, bal, inv, rem
         )
-        price_mat = (
-            np.asarray(price_rows)
-            if length
-            else np.empty((0, k), dtype=np.float64)
-        )
-        rem_mat = (
-            np.asarray(rem_rows) if length else np.empty((0, k), dtype=np.int64)
-        )
-        if defer_inv and length:
-            hits = exec_mat.ravel()
-            inv += np.bincount(inc_f.ravel()[hits], minlength=inv.size)
-            inv -= np.bincount(dec_f.ravel()[hits], minlength=inv.size)
-        return exec_mat, price_mat, rem_mat, bal, inv, rem
 
     def _summarise(
-        self, keys: List[Tuple[int, ...]], k: int, state: Tuple[np.ndarray, ...]
+        self,
+        keys: List[Tuple[int, ...]],
+        exec_mat: np.ndarray,
+        price_mat: np.ndarray,
+        rem_mat: np.ndarray,
+        bal: np.ndarray,
+        inv: np.ndarray,
+        rem: np.ndarray,
     ) -> List[EvalSummary]:
-        """Shared :class:`EvalSummary` assembly from the step outputs."""
-        exec_mat, price_mat, rem_mat, bal, inv, rem = state
+        """One :class:`EvalSummary` per candidate from the kernel outputs."""
+        k = len(keys)
         final_price = self._prices(rem)
         bal_mat = bal.reshape(k, self._n_rows)
         inv_mat = inv.reshape(k, self._n_rows)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.config import GenTranSeqConfig, NFTContractConfig, WorkloadConfig
+from repro.rollup.ckernel import kernel_backend
 from repro.rollup.state import ExecutionMode, L2State
 from repro.workloads import case_study_fixture, generate_workload
 
@@ -56,3 +57,20 @@ def basic_state(pt_config) -> L2State:
         inventory={"alice": 1, "bob": 1},
         mode=ExecutionMode.BATCH,
     )
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers",
+        "kernel: needs the compiled batch replay kernel; skipped only when "
+        "kernel_backend() != 'c'",
+    )
+
+
+def pytest_collection_modifyitems(config, items):
+    """Skip ``@pytest.mark.kernel`` tests on hosts where the kernel cannot load."""
+    marked = [item for item in items if item.get_closest_marker("kernel")]
+    if marked and kernel_backend() != "c":
+        skip = pytest.mark.skip(reason="batch replay C kernel unavailable")
+        for item in marked:
+            item.add_marker(skip)

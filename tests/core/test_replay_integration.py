@@ -9,6 +9,7 @@ hit — verified through the engine counters ``replay_stats`` exposes.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.config import GenTranSeqConfig
 from repro.core import InsertionReorderEnv, ReorderEnv
@@ -103,6 +104,7 @@ class TestReorderEnvReplayBehaviour:
 
 
 class TestSolverProfilingSurface:
+    @pytest.mark.kernel
     def test_profiled_run_reports_replay_stats(self, case_workload):
         problem = ReorderProblem(
             pre_state=case_workload.pre_state,

@@ -82,7 +82,7 @@ class TestEnvFingerprint:
 
     def test_kernel_backend_moves_the_digest(self):
         assert env_digest(env_fingerprint(kernel_backend="c")) != env_digest(
-            env_fingerprint(kernel_backend="numpy")
+            env_fingerprint(kernel_backend="python")
         )
 
 

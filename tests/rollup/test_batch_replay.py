@@ -2,23 +2,32 @@
 
 The load-bearing property: ``BatchReplayEngine.evaluate_many(orders)``
 must be *bit-identical* — objective inputs, executed set, feasibility,
-final price, wealth floats — to K independent ``IncrementalOVM``
-replays of the same orders, in both execution modes, with and without
-fee charging, including infeasible and reverting candidates.  Both
-kernel backends (the compiled C step loop and the pure-numpy fallback)
-are held to the same contract.
+final price, wealth floats — to ``OVM().replay`` of each order, in both
+execution modes, with and without fee charging, including ragged,
+duplicate-index, infeasible and reverting candidates.
+
+The fixed cases also score through ``IncrementalOVM`` (the ``python``
+route), which ``ReorderEnv.evaluate_orders`` takes when the compiled
+kernel cannot load, so both scoring routes answer to the same oracle.
+Tests that need the kernel carry the shared ``kernel`` marker.
 """
 
 from __future__ import annotations
+
+import contextlib
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import NFTContractConfig, WorkloadConfig
-from repro.errors import TokenError
+from repro.core import ReorderEnv
+from repro.errors import KernelUnavailableError, ReproError, TokenError
 from repro.rollup import (
+    OVM,
     BatchReplayEngine,
+    EvalSummary,
     ExecutionMode,
     IncrementalOVM,
     L2State,
@@ -26,13 +35,15 @@ from repro.rollup import (
     ReplayEngineStats,
     TxKind,
 )
-from repro.rollup.ckernel import load_kernel
+from repro.rollup import ckernel
+from repro.solvers import ReorderProblem, SimulatedAnnealingSolver
 from repro.workloads import generate_workload
 
 
 USERS = ("ifu", "u1", "u2", "u3")
 
-BACKENDS = ("c", "numpy")
+#: The two scoring routes ``kernel_backend()`` can report.
+ROUTES = (pytest.param("c", marks=pytest.mark.kernel), "python")
 
 
 def _mint(sender, **kw):
@@ -84,49 +95,68 @@ def _pre_state(mode: ExecutionMode, charge_fees: bool) -> L2State:
     )
 
 
-def _batch_engine(backend, pre, txs, **kw):
-    engine = BatchReplayEngine(pre, txs, **kw)
-    if backend == "c":
-        if engine._ckernel is None:
-            pytest.skip("compiled kernel unavailable on this host")
-    else:
-        engine._ckernel = None
-    return engine
+def _score(route, pre, txs, orders, **kw):
+    """Score ``orders`` on one route: the C kernel or the K=1 fallback."""
+    if route == "c":
+        return BatchReplayEngine(pre, txs, **kw).evaluate_many(orders)
+    engine = IncrementalOVM(pre, txs, **kw)
+    return [engine.evaluate(order) for order in orders]
 
 
-def _assert_summaries_identical(batch, serial):
+def _oracle(pre, txs, order, wealth_users=()):
+    """The :class:`EvalSummary` of ``order``, derived from ``OVM().replay``."""
+    trace = OVM().replay(pre, tuple(txs[i] for i in order))
+    final = trace.final_state
+    return EvalSummary(
+        order=tuple(order),
+        executed=[step.executed for step in trace.steps],
+        prices_before=[step.result.price_before for step in trace.steps],
+        remaining_after=[step.result.remaining_supply for step in trace.steps],
+        final_price=final.unit_price,
+        consistent=trace.consistent(),
+        executed_count=trace.executed_count,
+        wealth={user: final.wealth(user) for user in wealth_users},
+    )
+
+
+def _assert_summaries_identical(mine, oracle):
     """Every EvalSummary field, compared bit-for-bit (== on floats)."""
-    assert batch.order == serial.order
-    assert batch.executed == serial.executed
-    assert batch.prices_before == serial.prices_before
-    assert batch.remaining_after == serial.remaining_after
-    assert batch.final_price == serial.final_price
-    assert batch.consistent == serial.consistent
-    assert batch.executed_count == serial.executed_count
-    assert batch.wealth == serial.wealth
-    for user, value in batch.wealth.items():
+    assert mine.order == oracle.order
+    assert mine.executed == oracle.executed
+    assert mine.prices_before == oracle.prices_before
+    assert mine.remaining_after == oracle.remaining_after
+    assert mine.final_price == oracle.final_price
+    assert mine.consistent == oracle.consistent
+    assert mine.executed_count == oracle.executed_count
+    assert mine.wealth == oracle.wealth
+    for user, value in mine.wealth.items():
         # Not just == — identical IEEE-754 bit patterns.
-        assert repr(value) == repr(serial.wealth[user])
+        assert repr(value) == repr(oracle.wealth[user])
 
 
+def _assert_matches_oracle(summaries, pre, txs, orders, wealth_users=()):
+    assert len(summaries) == len(orders)
+    for order, summary in zip(orders, summaries):
+        _assert_summaries_identical(
+            summary, _oracle(pre, txs, order, wealth_users)
+        )
+
+
+@pytest.mark.kernel
 class TestDifferentialIdentity:
-    """evaluate_many ≡ K independent IncrementalOVM.evaluate calls."""
+    """evaluate_many ≡ OVM.replay of every candidate."""
 
     @settings(max_examples=30, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
         mode=st.sampled_from(list(ExecutionMode)),
         charge_fees=st.booleans(),
-        backend=st.sampled_from(BACKENDS),
     )
-    def test_matches_serial_engine(self, seed, mode, charge_fees, backend):
+    def test_matches_serial_engine(self, seed, mode, charge_fees):
         rng = np.random.default_rng(seed)
         size = int(rng.integers(3, 9))
         txs = _random_collection(rng, size)
         pre = _pre_state(mode, charge_fees)
-        engine = _batch_engine(
-            backend, pre, txs, wealth_users=("ifu", "u1")
-        )
         # Mixed-length candidate set: full permutations, ragged
         # prefixes, the empty order and one with duplicate indices.
         orders = [tuple(range(size))]
@@ -138,67 +168,33 @@ class TestDifferentialIdentity:
             for _ in range(2)
         ]
         orders += [(), (0,) * min(3, size)]
-        summaries = engine.evaluate_many(orders)
-        assert len(summaries) == len(orders)
-        for order, batch_summary in zip(orders, summaries):
-            serial = IncrementalOVM(
-                pre, txs, wealth_users=("ifu", "u1")
-            ).evaluate(order)
-            _assert_summaries_identical(batch_summary, serial)
+        users = ("ifu", "u1")
+        summaries = _score("c", pre, txs, orders, wealth_users=users)
+        _assert_matches_oracle(summaries, pre, txs, orders, users)
 
     @settings(max_examples=10, deadline=None)
-    @given(
-        seed=st.integers(min_value=0, max_value=1_000),
-        backend=st.sampled_from(BACKENDS),
-    )
-    def test_generated_workload_matches(self, seed, backend):
+    @given(seed=st.integers(min_value=0, max_value=1_000))
+    def test_generated_workload_matches(self, seed):
         workload = generate_workload(
             WorkloadConfig(mempool_size=12, seed=seed)
         )
         pre, txs = workload.pre_state, workload.transactions
         users = tuple(sorted(pre.balances))[:3]
-        engine = _batch_engine(backend, pre, txs, wealth_users=users)
         rng = np.random.default_rng(seed)
         orders = [
             tuple(int(x) for x in rng.permutation(len(txs)))
             for _ in range(8)
         ]
-        for order, batch_summary in zip(
-            orders, engine.evaluate_many(orders)
-        ):
-            serial = IncrementalOVM(pre, txs, wealth_users=users).evaluate(
-                order
-            )
-            _assert_summaries_identical(batch_summary, serial)
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_backends_agree_bit_for_bit(self, backend):
-        """The two backends are interchangeable on the same candidates."""
-        rng = np.random.default_rng(7)
-        txs = _random_collection(rng, 8)
-        pre = _pre_state(ExecutionMode.BATCH, True)
-        orders = [
-            tuple(int(x) for x in rng.permutation(8)) for _ in range(16)
-        ]
-        mine = _batch_engine(
-            backend, pre, txs, wealth_users=("ifu",)
-        ).evaluate_many(orders)
-        other = _batch_engine(
-            BACKENDS[1 - BACKENDS.index(backend)],
-            pre,
-            txs,
-            wealth_users=("ifu",),
-        ).evaluate_many(orders)
-        for a, b in zip(mine, other):
-            _assert_summaries_identical(a, b)
+        summaries = _score("c", pre, txs, orders, wealth_users=users)
+        _assert_matches_oracle(summaries, pre, txs, orders, users)
 
 
 class TestInfeasibleAndReverting:
-    """Candidates that fail must fail identically to the serial engine."""
+    """Candidates that fail must fail exactly as OVM.replay does."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("route", ROUTES)
     @pytest.mark.parametrize("mode", list(ExecutionMode))
-    def test_infeasible_candidates_report_inconsistent(self, backend, mode):
+    def test_infeasible_candidates_report_inconsistent(self, route, mode):
         # u3 cannot afford a mint in STRICT, and double-spends of the
         # same token mark the batch inconsistent — both must round-trip.
         pre = _pre_state(mode, False)
@@ -208,21 +204,17 @@ class TestInfeasibleAndReverting:
             _transfer("u1", "u3", nonce=2),
             _mint("ifu", nonce=3),
         )
-        engine = _batch_engine(backend, pre, txs, wealth_users=("ifu",))
         orders = [
             (0, 1, 2, 3),
             (1, 2, 0, 3),
             (3, 2, 1, 0),
             (2, 1, 3, 0),
         ]
-        for order, batch_summary in zip(orders, engine.evaluate_many(orders)):
-            serial = IncrementalOVM(pre, txs, wealth_users=("ifu",)).evaluate(
-                order
-            )
-            _assert_summaries_identical(batch_summary, serial)
+        summaries = _score(route, pre, txs, orders, wealth_users=("ifu",))
+        _assert_matches_oracle(summaries, pre, txs, orders, ("ifu",))
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_supply_exhaustion_matches(self, backend):
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_supply_exhaustion_matches(self, route):
         pre = L2State(
             NFTContractConfig(max_supply=3),
             balances={u: 50.0 for u in USERS},
@@ -232,22 +224,18 @@ class TestInfeasibleAndReverting:
         txs = tuple(
             _mint(USERS[i % len(USERS)], nonce=i) for i in range(4)
         ) + (_transfer("ifu", "u2", nonce=4),)
-        engine = _batch_engine(backend, pre, txs, wealth_users=("ifu",))
         rng = np.random.default_rng(0)
         orders = [
             tuple(int(x) for x in rng.permutation(5)) for _ in range(20)
         ]
-        for order, batch_summary in zip(orders, engine.evaluate_many(orders)):
-            serial = IncrementalOVM(pre, txs, wealth_users=("ifu",)).evaluate(
-                order
-            )
-            _assert_summaries_identical(batch_summary, serial)
+        summaries = _score(route, pre, txs, orders, wealth_users=("ifu",))
+        _assert_matches_oracle(summaries, pre, txs, orders, ("ifu",))
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_burn_poisoning_raises_identically(self, backend):
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_burn_poisoning_raises_identically(self, route):
         """Burning the supply past ``max_supply`` reverts (TokenError) —
-        the batch call must raise the identical error, as a serial
-        scoring loop would fail at that candidate."""
+        the call must raise the identical error ``OVM.replay`` raises, as
+        a serial scoring loop would fail at that candidate."""
         pre = L2State(
             NFTContractConfig(max_supply=4),
             balances={u: 50.0 for u in USERS},
@@ -261,49 +249,46 @@ class TestInfeasibleAndReverting:
             _burn("ifu", nonce=3),
             _burn("u3", nonce=4),
         )
-        engine = _batch_engine(backend, pre, txs, wealth_users=("ifu",))
         poison = (0, 1, 2, 3, 4)  # fifth burn pushes supply past max
-        with pytest.raises(TokenError) as batch_error:
-            engine.evaluate_many([(0, 1, 2, 3), poison])
-        with pytest.raises(TokenError) as serial_error:
-            IncrementalOVM(pre, txs).evaluate(poison)
-        assert str(batch_error.value) == str(serial_error.value)
+        with pytest.raises(TokenError) as mine:
+            _score(route, pre, txs, [(0, 1, 2, 3), poison])
+        with pytest.raises(TokenError) as oracle:
+            OVM().replay(pre, tuple(txs[i] for i in poison))
+        assert str(mine.value) == str(oracle.value)
 
 
 class TestBatchBookkeeping:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_stats_counters(self, backend):
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_stats_counters(self, route):
         rng = np.random.default_rng(1)
         txs = _random_collection(rng, 6)
         stats = ReplayEngineStats()
-        engine = _batch_engine(
-            backend,
-            _pre_state(ExecutionMode.BATCH, False),
-            txs,
+        orders = [tuple(int(x) for x in rng.permutation(6)) for _ in range(5)]
+        _score(
+            route, _pre_state(ExecutionMode.BATCH, False), txs, orders,
             stats=stats,
         )
-        orders = [tuple(int(x) for x in rng.permutation(6)) for _ in range(5)]
-        engine.evaluate_many(orders)
-        assert stats.batch_calls == 1
-        assert stats.batch_candidates == 5
-        assert stats.batch_steps == 30
-        assert stats.mean_batch_size == 5.0
+        if route == "c":
+            assert stats.batch_calls == 1
+            assert stats.batch_candidates == 5
+            assert stats.batch_steps == 30
+            assert stats.mean_batch_size == 5.0
+        else:
+            # Every step of every candidate is counted exactly once, on
+            # the route that ran it: executed or reused, never batched.
+            assert stats.batch_calls == 0
+            assert stats.scratch_replays + stats.incremental_replays == 5
+            assert stats.steps_executed + stats.steps_reused == 30
         assert "mean_batch_size" in stats.as_dict()
 
+    @pytest.mark.kernel
     def test_empty_candidate_set(self):
         rng = np.random.default_rng(2)
         txs = _random_collection(rng, 4)
         engine = BatchReplayEngine(_pre_state(ExecutionMode.BATCH, False), txs)
         assert engine.evaluate_many([]) == []
 
-    def test_kernel_backend_property(self):
-        rng = np.random.default_rng(3)
-        txs = _random_collection(rng, 4)
-        engine = BatchReplayEngine(_pre_state(ExecutionMode.BATCH, False), txs)
-        assert engine.kernel_backend in ("c", "numpy")
-        engine._ckernel = None
-        assert engine.kernel_backend == "numpy"
-
+    @pytest.mark.kernel
     def test_out_of_range_index_rejected(self):
         rng = np.random.default_rng(4)
         txs = _random_collection(rng, 4)
@@ -312,18 +297,78 @@ class TestBatchBookkeeping:
             engine.evaluate_many([(0, 1), (0, 99)])
 
 
-class TestKernelLoader:
-    def test_disable_via_environment(self, monkeypatch):
-        from repro.rollup import ckernel
-
-        monkeypatch.setenv("REPRO_BATCH_CKERNEL", "0")
+@contextlib.contextmanager
+def _failed_kernel(monkeypatch):
+    """The loader forced to fail (``CC=false``); reset before and after."""
+    ckernel._reset_for_tests()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setenv("CC", "false")
+            yield
+    finally:
         ckernel._reset_for_tests()
-        try:
-            assert load_kernel() is None
-            assert ckernel.kernel_backend() == "numpy"
-        finally:
-            monkeypatch.delenv("REPRO_BATCH_CKERNEL")
-            ckernel._reset_for_tests()
 
+
+def _fallback_workload():
+    return generate_workload(
+        WorkloadConfig(mempool_size=10, num_users=6, num_ifus=1, seed=5)
+    )
+
+
+class TestKernelLoader:
     def test_loader_is_cached(self):
-        assert load_kernel() is load_kernel()
+        assert ckernel.load_kernel() is ckernel.load_kernel()
+
+    def test_failed_load_warns_once_and_falls_back(self, monkeypatch):
+        workload = _fallback_workload()
+        with _failed_kernel(monkeypatch), warnings.catch_warnings(
+            record=True
+        ) as caught:
+            warnings.simplefilter("always")
+            assert ckernel.load_kernel() is None
+            assert ckernel.kernel_backend() == "python"
+            with pytest.raises(KernelUnavailableError) as error:
+                BatchReplayEngine(workload.pre_state, workload.transactions)
+            assert ckernel.load_kernel() is None
+        runtime = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert len(runtime) == 1
+        message = str(runtime[0].message)
+        assert "'false'" in message and "exit status 1" in message
+        assert isinstance(error.value, ReproError)
+        assert "exit status 1" in str(error.value)
+
+    @pytest.mark.kernel
+    def test_fallback_scores_like_the_kernel(self, monkeypatch):
+        workload = _fallback_workload()
+        pre, txs, ifus = (
+            workload.pre_state, workload.transactions, workload.ifus,
+        )
+        rng = np.random.default_rng(9)
+        orders = [
+            tuple(int(x) for x in rng.permutation(len(txs)))
+            for _ in range(12)
+        ]
+        annealer = SimulatedAnnealingSolver(iterations=150, seed=1, restarts=4)
+
+        def run():
+            env = ReorderEnv(pre, txs, ifus)
+            evaluations = env.evaluate_orders(orders)
+            solved = annealer.solve(ReorderProblem(pre, txs, ifus))
+            return evaluations, env.replay_stats(), solved
+
+        kernel_evals, kernel_stats, kernel_solved = run()
+        assert kernel_stats["batch_calls"] == 1
+        with _failed_kernel(monkeypatch), pytest.warns(
+            RuntimeWarning, match="unavailable"
+        ):
+            fallback_evals, fallback_stats, fallback_solved = run()
+        assert fallback_stats["batch_calls"] == 0
+        assert fallback_stats["batch_candidates"] == 0
+        for mine, theirs in zip(fallback_evals, kernel_evals):
+            assert repr(mine["objective"]) == repr(theirs["objective"])
+            assert mine["feasible"] == theirs["feasible"]
+            assert mine["executed_count"] == theirs["executed_count"]
+            assert mine["final_price"] == theirs["final_price"]
+            _assert_summaries_identical(mine["summary"], theirs["summary"])
+        assert fallback_solved.best_order == kernel_solved.best_order
+        assert fallback_solved.best_objective == kernel_solved.best_objective

@@ -95,7 +95,6 @@ def _assert_traces_identical(incremental, scratch):
         assert (
             mine.result.remaining_supply == theirs.result.remaining_supply
         )
-        assert mine.watched_wealth == theirs.watched_wealth
     assert (
         incremental.final_state.canonical_items()
         == scratch.final_state.canonical_items()
@@ -117,9 +116,7 @@ class TestDifferentialIdentity:
         size = int(rng.integers(3, 9))
         txs = _random_collection(rng, size)
         pre = _pre_state(mode, charge_fees)
-        engine = IncrementalOVM(
-            pre, txs, watch=("ifu", "u1"), wealth_users=("ifu", "u1")
-        )
+        engine = IncrementalOVM(pre, txs, wealth_users=("ifu", "u1"))
         scratch = OVM()
         # A run of orders: identity, then random permutations — forcing
         # rewinds of every depth against the engine's current order.
@@ -130,7 +127,7 @@ class TestDifferentialIdentity:
         for order in orders:
             sequence = tuple(txs[i] for i in order)
             incremental = engine.replay_order(order)
-            reference = scratch.replay(pre, sequence, watch=("ifu", "u1"))
+            reference = scratch.replay(pre, sequence)
             _assert_traces_identical(incremental, reference)
             # The allocation-light scoring path must agree column for
             # column with the trace-shaped reference.
@@ -187,15 +184,6 @@ class TestDifferentialIdentity:
         reference = OVM().replay(pre, txs[:3])
         _assert_traces_identical(partial, reference)
 
-    def test_replay_accepts_transaction_sequences(self):
-        rng = np.random.default_rng(5)
-        txs = _random_collection(rng, 5)
-        pre = _pre_state(ExecutionMode.BATCH, False)
-        engine = IncrementalOVM(pre, txs)
-        sequence = (txs[3], txs[0], txs[4], txs[1], txs[2])
-        trace = engine.replay(sequence)
-        _assert_traces_identical(trace, OVM().replay(pre, sequence))
-
     def test_engine_recovers_after_apply_error(self):
         """A mid-replay error (burn beyond supply) leaves the engine usable."""
         from repro.errors import TokenError
@@ -220,13 +208,29 @@ class TestDifferentialIdentity:
         reference = OVM().replay(pre, tuple(txs[i] for i in order))
         _assert_traces_identical(trace, reference)
 
-    def test_foreign_transaction_rejected(self):
+    @pytest.mark.parametrize("bad", [-1, 6])
+    @pytest.mark.parametrize("method", ["evaluate", "replay_order"])
+    def test_out_of_range_index_rejected_before_any_change(self, method, bad):
+        """Indices outside ``[0, N)`` raise IndexError, as in the batch
+        kernel, and leave the engine's state and counters untouched."""
         rng = np.random.default_rng(5)
-        txs = _random_collection(rng, 4)
-        engine = IncrementalOVM(_pre_state(ExecutionMode.BATCH, False), txs)
-        foreign = _mint("stranger", nonce=99)
-        with pytest.raises(ValueError):
-            engine.replay((foreign,))
+        txs = _random_collection(rng, 6)
+        pre = _pre_state(ExecutionMode.BATCH, False)
+        stats = ReplayEngineStats()
+        engine = IncrementalOVM(pre, txs, stats=stats)
+        score = getattr(engine, method)
+        with pytest.raises(IndexError):
+            score((bad, 0, 1, 2, 3, 4))  # rejected on a fresh engine
+        assert stats.as_dict() == ReplayEngineStats().as_dict()
+        score(range(6))
+        before = stats.as_dict()
+        with pytest.raises(IndexError):
+            score((0, 1, 2, bad, 4, 5))  # rejected in a resumed suffix
+        assert stats.as_dict() == before
+        order = (0, 1, 2, 5, 4, 3)
+        reference = OVM().replay(pre, tuple(txs[i] for i in order))
+        _assert_traces_identical(engine.replay_order(order), reference)
+        assert stats.steps_undone == 3  # rewound from the identity, not a stray step
 
 
 class TestCountingInventory:

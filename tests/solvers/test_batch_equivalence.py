@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.config import GenTranSeqConfig
+from repro.config import GenTranSeqConfig, WorkloadConfig
 from repro.solvers import (
     DQNInferenceSolver,
     ExhaustiveSolver,
@@ -24,6 +24,7 @@ from repro.solvers import (
     ReorderProblem,
     SimulatedAnnealingSolver,
 )
+from repro.workloads import generate_workload
 from repro.workloads.scenarios import IFU
 
 
@@ -73,6 +74,7 @@ class TestBatchedEqualsSerial:
         assert batched.best_objective == serial.best_objective
         assert batched.original_objective == serial.original_objective
 
+    @pytest.mark.kernel
     def test_batched_solvers_hit_the_batch_kernel(self, problem_factory):
         problem = problem_factory()
         HillClimbSolver(max_rounds=2).solve(problem)
@@ -145,6 +147,7 @@ class TestEvaluateOrders:
         assert after["batch_calls"] == before["batch_calls"]
         assert after["incremental_replays"] > before["incremental_replays"]
 
+    @pytest.mark.kernel
     def test_duplicate_candidates_evaluated_once(self, problem_factory):
         env = problem_factory()._env
         order = tuple(reversed(range(8)))
@@ -155,6 +158,28 @@ class TestEvaluateOrders:
         assert after - before == 2  # deduplicated before the kernel
         assert results[0]["objective"] == results[2]["objective"]
         assert results[1]["objective"] == results[3]["objective"]
+
+    @pytest.mark.parametrize("misses", [1, 2])
+    @pytest.mark.parametrize("bad", [-1, 6])
+    def test_out_of_range_index_rejected(self, bad, misses):
+        """One miss (incremental engine) and two (batch kernel, or the
+        incremental engine without it) reject the same orders, and
+        nothing is scored or cached under the bad key."""
+        workload = generate_workload(
+            WorkloadConfig(mempool_size=6, num_users=4, num_ifus=1, seed=1)
+        )
+        problem = ReorderProblem(
+            workload.pre_state, workload.transactions, workload.ifus
+        )
+        env = problem._env
+        orders = [(bad, 0, 1, 2, 3, 4), (5, 4, 3, 2, 1, 0)][:misses]
+        before = env.replay_stats()
+        with pytest.raises(IndexError):
+            problem.score_many(orders)
+        after = env.replay_stats()
+        assert orders[0] not in env._eval_cache
+        assert len(env._eval_cache) == 1  # only the seeded identity
+        assert after["steps_executed"] == before["steps_executed"]
 
 
 class TestDQNBeam:

@@ -45,6 +45,7 @@ class TestProfiling:
         run = profile_solver(HillClimbSolver(), problem)
         assert run.solver_name == "hill-climb"
 
+    @pytest.mark.kernel
     def test_replay_stats_reported(self, problem):
         run = profile_solver(HillClimbSolver(), problem)
         # The neighbourhood sweeps ride the batch kernel; the final
