@@ -9,7 +9,6 @@ address derivation for simulated accounts.
 from .hashing import hash_bytes, hash_hex, hash_value, hash_pair
 from .merkle import MerkleTree, MerkleProof, verify_proof
 from .keys import KeyPair, derive_address, generate_keypair
-from .trie import MerkleTrie, TrieProof
 
 __all__ = [
     "hash_bytes",
@@ -22,6 +21,4 @@ __all__ = [
     "KeyPair",
     "derive_address",
     "generate_keypair",
-    "MerkleTrie",
-    "TrieProof",
 ]

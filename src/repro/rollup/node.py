@@ -119,7 +119,6 @@ class RollupNode:
         self.l2_state = l2_state
         self.aggregators: List[Aggregator] = []
         self.verifiers: List[Verifier] = []
-        self._batch_prestates: Dict[int, L2State] = {}
         #: Injected commit-failure budget: key is an aggregator address or
         #: None for "any aggregator"; value is how many upcoming commit
         #: attempts should fail.
@@ -313,7 +312,6 @@ class RollupNode:
             )
             get_metrics().counter("node.commit_retries").inc(attempts - 1)
 
-        self._batch_prestates[commitment.batch_id] = pre_state
         self.l2_state = result.trace.final_state
         report.results.append(result)
         logger.debug(

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 from ..crypto import hash_value
@@ -61,9 +62,13 @@ class NFTTransaction:
         """Base plus priority fee — Bedrock's ordering key."""
         return self.base_fee + self.priority_fee
 
-    @property
+    @cached_property
     def tx_hash(self) -> str:
-        """Stable digest identifying this transaction."""
+        """Stable digest identifying this transaction.
+
+        Computed once per object: every field is frozen, so the digest
+        cannot go stale.
+        """
         return hash_value(
             [
                 "tx",
@@ -79,13 +84,14 @@ class NFTTransaction:
             ]
         )
 
-    @property
+    @cached_property
     def arrival_identity(self) -> str:
         """Digest of everything *but* the arrival stamp.
 
         Two submissions of the same logical transaction share this
         identity regardless of when (or whether) a mempool stamped them,
         so admission-time duplicate detection survives re-stamping.
+        Computed once per object, like :attr:`tx_hash`.
         """
         return hash_value(
             [

@@ -147,6 +147,23 @@ class TestMemoization:
             == cold_outcome.deterministic_payload()
         )
 
+    def test_no_store_hashes_no_state_root(self, monkeypatch):
+        import repro.streaming.scanner as scanner_module
+
+        calls = []
+        real = scanner_module.state_root
+
+        def counting(state):
+            calls.append(state)
+            return real(state)
+
+        monkeypatch.setattr(scanner_module, "state_root", counting)
+        generator = _generator(seed=2)
+        state, txs = _batch(generator, 10)
+        _, outcome = BatchScanner(generator.ifus, config=FAST).scan(state, txs)
+        assert outcome.evaluations > 0  # reached the solver, past the key
+        assert calls == []
+
     def test_different_config_misses_the_cache(self, tmp_path):
         store = ResultStore(tmp_path).namespaced("stream")
         generator = _generator(seed=7)
