@@ -4,11 +4,12 @@
 preset and writes, per experiment, the rendered text (what the paper's
 table/figure shows), a JSON payload with the structured results, and a
 run manifest (``<id>.manifest.json`` — config hash, seed, git revision,
-duration, peak memory, and a dump of every telemetry metric the run
-recorded) — so a full reproduction run leaves a self-describing
-artifact directory behind.  Passing a :class:`~repro.config.TelemetryConfig`
-additionally records a JSONL span trace next to the results.  The CLI
-exposes it as ``parole run-all``.
+host fingerprint, duration, the process's peak resident set so far, and
+a dump of every telemetry metric the run recorded) — so a full
+reproduction run leaves a self-describing artifact directory behind.
+Passing a :class:`~repro.config.TelemetryConfig` additionally records a
+JSONL span trace next to the results.  The CLI exposes it as
+``parole run-all``.
 """
 
 from __future__ import annotations

@@ -71,13 +71,16 @@ def profile_solver(
     profiled inference call (Figure 11(b) counts them against the DQN).
     """
     stats_before = problem.replay_stats()
-    # An enclosing ManifestRecorder may already be tracing allocations;
-    # nest instead of stomping its trace.
+    # A caller may already be tracing (PYTHONTRACEMALLOC, -X tracemalloc,
+    # its own profiler).  Nesting leaves that trace running but resets its
+    # peak, and measures from the memory it already holds, so the reading
+    # is the solver's own peak, as un-nested (where the baseline is 0).
     was_tracing = tracemalloc.is_tracing()
     if was_tracing:
         tracemalloc.reset_peak()
     else:
         tracemalloc.start()
+    baseline, _ = tracemalloc.get_traced_memory()
     started = time.perf_counter()
     with span("solver.profile", solver=solver.name) as current:
         try:
@@ -86,6 +89,7 @@ def profile_solver(
             _, peak = tracemalloc.get_traced_memory()
             if not was_tracing:
                 tracemalloc.stop()
+        peak -= baseline
         elapsed = time.perf_counter() - started
         current.add(
             elapsed_s=elapsed,

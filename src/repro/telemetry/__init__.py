@@ -12,8 +12,9 @@ Three cooperating pieces, all zero-dependency and off by default:
   metric snapshots) into pluggable sinks: in-memory ring buffer, file,
   or stderr.
 * :mod:`~repro.telemetry.manifest` — run manifests: config hash, seed,
-  git revision, duration, peak memory and a metrics dump written next
-  to experiment artifacts.
+  git revision, host fingerprint, duration, the process's peak resident
+  set (``getrusage``) and a metrics dump written next to experiment
+  artifacts.
 
 Typical session::
 

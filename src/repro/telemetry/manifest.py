@@ -2,9 +2,10 @@
 
 A manifest answers "what exactly produced this artifact?" — experiment
 id, effort preset, RNG seed, a stable hash of the config parameters, the
-git revision, wall time, peak traced memory, and a dump of every metric
-the run recorded.  ``experiments/runner.run_all`` writes one per
-experiment (``<id>.manifest.json``); benches and ad-hoc scripts can use
+git revision, the host fingerprint, wall time, the process's peak
+resident set, and a dump of every metric the run recorded.
+``experiments/runner.run_all`` writes one per experiment
+(``<id>.manifest.json``); benches and ad-hoc scripts can use
 :class:`ManifestRecorder` directly.
 """
 
@@ -16,8 +17,8 @@ import json
 import os
 import pathlib
 import platform
+import sys
 import time
-import tracemalloc
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Union
 
@@ -118,6 +119,24 @@ def git_revision(root: Union[str, pathlib.Path, None] = None) -> Optional[str]:
     return None
 
 
+def _peak_rss_bytes() -> int:
+    """The process's resident-set high-water mark so far, in bytes.
+
+    The larger of this process's ``ru_maxrss`` and that of its children;
+    a child counts only once it has been waited for.  Linux reports KiB,
+    macOS bytes.  0 where the platform has no ``getrusage``.
+    """
+    try:
+        import resource
+    except ImportError:  # pragma: no cover - Windows has no getrusage
+        return 0
+    peak = max(
+        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+        resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss,
+    )
+    return peak if sys.platform == "darwin" else peak * 1024
+
+
 @dataclass(frozen=True)
 class RunManifest:
     """Everything needed to reproduce (and audit) one run."""
@@ -129,8 +148,13 @@ class RunManifest:
     config: Dict[str, Any] = field(default_factory=dict)
     config_digest: str = ""
     git_rev: Optional[str] = None
+    #: Host properties that move numbers without a code change
+    #: (:func:`env_fingerprint`).
+    env: Dict[str, Any] = field(default_factory=dict)
     started_at: str = ""
     duration_seconds: float = 0.0
+    #: The process's resident-set high-water mark when the run ended, in
+    #: bytes: it never falls within one process, so it is not per run.
     peak_memory_bytes: int = 0
     metrics: Dict[str, Any] = field(default_factory=dict)
     artifacts: Dict[str, str] = field(default_factory=dict)
@@ -155,11 +179,13 @@ class RunManifest:
 class ManifestRecorder:
     """Context manager that measures a run and writes its manifest.
 
-    Wall-clocks the block, tracks peak traced memory (starting
-    ``tracemalloc`` only if nothing else is already tracing), snapshots
-    the active metrics registry on exit, and — when ``out_dir`` is given
-    — writes ``<experiment_id>.manifest.json`` there.  The finished
-    manifest is available as ``recorder.manifest`` afterwards.
+    Wall-clocks the block and, on exit, reads the process's peak
+    resident set from ``getrusage`` (a high-water mark over the process
+    and its reaped children, so it never falls within one process and
+    is not specific to this block), fingerprints the host, snapshots the
+    active metrics registry, and — when ``out_dir`` is given — writes
+    ``<experiment_id>.manifest.json`` there.  The finished manifest is
+    available as ``recorder.manifest`` afterwards.
     """
 
     def __init__(
@@ -183,7 +209,6 @@ class ManifestRecorder:
         self.path: Optional[pathlib.Path] = None
         self._started = 0.0
         self._started_wall = ""
-        self._owns_tracemalloc = False
 
     def add_artifact(self, name: str, path: Union[str, pathlib.Path]) -> None:
         """Register an output file the manifest should point at."""
@@ -191,21 +216,11 @@ class ManifestRecorder:
 
     def __enter__(self) -> "ManifestRecorder":
         self._started_wall = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-        if not tracemalloc.is_tracing():
-            tracemalloc.start()
-            self._owns_tracemalloc = True
-        else:
-            tracemalloc.reset_peak()
         self._started = time.perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         duration = time.perf_counter() - self._started
-        peak = 0
-        if tracemalloc.is_tracing():
-            _, peak = tracemalloc.get_traced_memory()
-            if self._owns_tracemalloc:
-                tracemalloc.stop()
         extra = dict(self.extra)
         artifacts = {str(k): str(v) for k, v in extra.pop("artifacts", {}).items()}
         if exc_type is not None:
@@ -218,9 +233,11 @@ class ManifestRecorder:
             config=_canonical(self.config),
             config_digest=config_hash(self.config),
             git_rev=git_revision(),
+            # No kernel_backend: finding it out compiles and loads the C kernel.
+            env=env_fingerprint(),
             started_at=self._started_wall,
             duration_seconds=duration,
-            peak_memory_bytes=peak,
+            peak_memory_bytes=_peak_rss_bytes(),
             metrics=get_metrics().snapshot(),
             artifacts=artifacts,
             extra=extra,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,19 @@ def small_workload():
             min_ifu_involvement=3, seed=42,
         )
     )
+
+
+@pytest.fixture
+def traced_ballast():
+    """An enclosing ``tracemalloc`` trace that holds 8 MiB live; yields
+    the ballast size in bytes."""
+    tracemalloc.start()
+    ballast = bytearray(8 * 1024 * 1024)
+    try:
+        yield len(ballast)
+    finally:
+        del ballast
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -119,6 +119,14 @@ class TestFig11Harness:
         text = render_fig11(rows)
         assert "DQN (inference)" in text and "SNOPT" in text
 
+    def test_micro_sweep_under_an_outer_trace(self, traced_ballast):
+        from repro.experiments import run_fig11
+        rows = run_fig11(
+            sizes=(5, 8), dqn_train_episodes=1,
+            nlp_restarts=1, nlp_max_iterations=5,
+        )
+        assert all(row.peak_memory_kib * 1024 < traced_ballast for row in rows)
+
 
 class TestDefenseHarness:
     def test_micro_sweep(self):

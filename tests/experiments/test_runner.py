@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.api import run_experiment
 from repro.errors import ReproError
 from repro.experiments import REGISTRY, run_all
 from repro.experiments.common import EffortPreset
@@ -78,3 +79,17 @@ class TestRunAll:
     def test_records_time_every_run(self, tmp_path):
         records = run_all(tmp_path, preset=MICRO, only=["table3"])
         assert records[0].elapsed_seconds >= 0
+
+    def test_fig11_memory_is_each_solvers_own_peak(self, tmp_path):
+        """Fig. 11(b) as run_all archives it matches a bare run row for
+        row: the manifest recording around it does not count."""
+        # A solver's first call in a process pays one-time lazy imports.
+        run_experiment("fig11", effort=MICRO)
+        run_all(tmp_path, preset=MICRO, only=["fig11"])
+        archived = json.loads((tmp_path / "fig11.json").read_text())["data"]
+        bare = run_experiment("fig11", effort=MICRO).result
+        assert len(archived) == len(bare)
+        for row, expected in zip(archived, bare):
+            assert row["peak_memory_kib"] == pytest.approx(
+                expected.peak_memory_kib, rel=0.1, abs=16
+            )

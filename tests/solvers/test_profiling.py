@@ -10,6 +10,7 @@ from repro.solvers import (
     DQNInferenceSolver,
     HillClimbSolver,
     ReorderProblem,
+    SimulatedAnnealingSolver,
     profile_solver,
 )
 from repro.solvers.profiling import ProfiledRun
@@ -68,6 +69,17 @@ class TestProfiling:
             assert run.peak_memory_bytes > 0
         finally:
             tracemalloc.stop()
+
+    def test_nested_peak_excludes_outer_live_memory(
+        self, small_workload, traced_ballast
+    ):
+        problem = ReorderProblem(
+            pre_state=small_workload.pre_state,
+            transactions=small_workload.transactions,
+            ifus=small_workload.ifus,
+        )
+        run = profile_solver(SimulatedAnnealingSolver(iterations=50), problem)
+        assert 0 < run.peak_memory_bytes < 1024 * 1024
 
 
 class TestProfiledRunImmutability:

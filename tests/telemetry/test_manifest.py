@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import json
+import pathlib
 import tracemalloc
 
+import pytest
+
+from repro.parallel import Task, get_runner
 from repro.telemetry import (
     MANIFEST_SCHEMA,
     ManifestRecorder,
@@ -13,6 +17,16 @@ from repro.telemetry import (
     enable_metrics,
     git_revision,
 )
+from repro.telemetry.manifest import env_fingerprint
+
+_PROC_STATUS = pathlib.Path("/proc/self/status")
+
+
+def _vm_rss_bytes() -> int:
+    for line in _PROC_STATUS.read_text().splitlines():
+        if line.startswith("VmRSS:"):
+            return int(line.split()[1]) * 1024  # reported in kB
+    raise AssertionError("no VmRSS line in /proc/self/status")
 
 
 class TestConfigHash:
@@ -62,6 +76,13 @@ class TestRunManifest:
         assert loaded.config == {"mempool": 12}
         assert loaded.schema == MANIFEST_SCHEMA
 
+    def test_env_survives_roundtrip(self, tmp_path):
+        with ManifestRecorder(experiment_id="env", out_dir=tmp_path) as recorder:
+            pass
+        loaded = RunManifest.read(recorder.path)
+        assert loaded.env == env_fingerprint()
+        assert loaded.schema == MANIFEST_SCHEMA
+
     def test_read_ignores_unknown_fields(self, tmp_path):
         path = tmp_path / "m.json"
         payload = RunManifest(experiment_id="x").to_json()
@@ -104,6 +125,41 @@ class TestManifestRecorder:
             assert recorder.manifest is not None
         finally:
             tracemalloc.stop()
+
+    def test_block_runs_untraced(self):
+        with ManifestRecorder(experiment_id="untraced"):
+            assert not tracemalloc.is_tracing()
+
+    def test_outer_trace_peak_survives(self):
+        ballast = 4 * 1024 * 1024
+        tracemalloc.start()
+        try:
+            block = bytearray(ballast)
+            del block
+            with ManifestRecorder(experiment_id="inner"):
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+            assert peak >= ballast
+        finally:
+            tracemalloc.stop()
+
+    def test_fabric_workers_started_inside_do_not_trace(self):
+        with ManifestRecorder(experiment_id="fabric"):
+            with get_runner(2) as runner:
+                tracing = runner.map(
+                    [Task(fn=tracemalloc.is_tracing) for _ in range(4)]
+                )
+        assert tracing == [False] * 4
+
+    @pytest.mark.skipif(
+        not _PROC_STATUS.exists(), reason="needs /proc/self/status"
+    )
+    def test_peak_memory_is_a_byte_count(self):
+        with ManifestRecorder(experiment_id="rss") as recorder:
+            rss = _vm_rss_bytes()
+        # getrusage can trail VmRSS by a few hundred KiB (the kernel sums
+        # its per-CPU RSS counters lazily); a KiB count would be 1024x low.
+        assert recorder.manifest.peak_memory_bytes > rss // 2
 
     def test_exception_is_archived_and_reraised(self, tmp_path):
         recorder = ManifestRecorder(experiment_id="err", out_dir=tmp_path)
