@@ -9,8 +9,9 @@ Numbers flow through one shared writer: the :func:`emit_bench` fixture
 builds a versioned :class:`repro.perf.BenchRecord` (environment
 fingerprint, named series, machine-readable gate verdicts, the bench's
 legacy payload as the ``view``), renders it to the historical
-``BENCH_<id>.json`` filename, and — when ``REPRO_PERF_STORE`` names a
-directory — appends it to the perf trend store for regression tracking.
+``BENCH_<id>.json`` filename and prints every gate verdict.  Each bench
+asserts its own armed gates; the end-to-end regression rule lives in
+``bench/compare.py``.
 """
 
 from __future__ import annotations
@@ -19,13 +20,7 @@ import pathlib
 
 import pytest
 
-from repro.perf import (
-    BenchSeries,
-    GateVerdict,
-    new_record,
-    open_trend_from_env,
-    write_record,
-)
+from repro.perf import BenchSeries, GateVerdict, new_record, write_record
 
 __all__ = ["RESULTS_DIR", "BenchSeries", "GateVerdict"]
 
@@ -90,10 +85,7 @@ def emit_bench():
         path = write_record(record, RESULTS_DIR)
         for gate in record.gates:
             print(gate.render())
-        trend = open_trend_from_env()
-        if trend is not None:
-            trend.append(record)
-        print(f"bench record: {path.name} (env {record.env_digest})")
+        print(f"bench record: {path.name}")
         return record
 
     return _emit

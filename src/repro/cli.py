@@ -384,115 +384,8 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
     return 0
 
 
-def _perf_trend(args: argparse.Namespace):
-    import os
-
-    from .perf import PERF_STORE_ENV, open_trend
-
-    root = getattr(args, "store", None) or os.environ.get(PERF_STORE_ENV)
-    if not root:
-        root = ".perf"
-    return open_trend(root)
-
-
-def _perf_latest_records(trend, bench_ids=None):
-    """The newest record per bench (the 'candidate' set for checks)."""
-    ids = list(bench_ids) if bench_ids else trend.bench_ids()
-    records = []
-    for bench_id in ids:
-        latest = trend.latest(bench_id)
-        if latest is not None:
-            records.append(latest)
-    return records
-
-
-def _cmd_perf_report(args: argparse.Namespace) -> int:
-    import pathlib
-
-    from .perf import render_report
-
-    trend = _perf_trend(args)
-    text = render_report(trend, bench_ids=args.bench or None)
-    print(text)
-    if args.out:
-        pathlib.Path(args.out).write_text(text + "\n")
-        print(f"report written to {args.out}")
-    return 0
-
-
-def _cmd_perf_compare(args: argparse.Namespace) -> int:
-    from .perf import render_compare
-
-    trend = _perf_trend(args)
-    print(
-        render_compare(
-            trend, args.rev_a, args.rev_b, bench_ids=args.bench or None
-        )
-    )
-    return 0
-
-
-def _cmd_perf_check(args: argparse.Namespace) -> int:
-    import json
-    import pathlib
-
-    from .perf import (
-        RegressionPolicy,
-        check_against_baseline,
-        detect_regressions,
-    )
-
-    trend = _perf_trend(args)
-    policy = RegressionPolicy(
-        rel_threshold=args.rel_threshold,
-        mad_k=args.mad_k,
-        min_history=args.min_history,
-        baseline_window=args.window,
-    )
-    candidates = _perf_latest_records(trend, args.bench or None)
-    if not candidates:
-        print("perf check: no bench records in the trend store")
-        return 0 if not args.strict else 1
-    if args.against == "trend":
-        history = {c.bench_id: trend.history(c.bench_id) for c in candidates}
-        report = detect_regressions(candidates, history, policy)
-    else:
-        baseline_path = pathlib.Path(args.against)
-        baseline = json.loads(baseline_path.read_text())
-        report = check_against_baseline(candidates, baseline, policy)
-    print(report.render())
-    if report.regressions:
-        return 1
-    if args.strict and report.unarmed:
-        # --strict: unarmed gates are failures too (opt-in; the default
-        # reports them loudly but does not fail machines that cannot arm).
-        return 1
-    return 0
-
-
-def _cmd_perf_baseline(args: argparse.Namespace) -> int:
-    import json
-    import pathlib
-
-    from .perf import make_baseline
-
-    trend = _perf_trend(args)
-    records = _perf_latest_records(trend, args.bench or None)
-    if not records:
-        print("perf baseline: no bench records in the trend store")
-        return 1
-    payload = make_baseline(records)
-    pathlib.Path(args.out).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    )
-    print(
-        f"baseline for {len(records)} bench(es) written to {args.out}"
-    )
-    return 0
-
-
 def _cmd_perf_export_trace(args: argparse.Namespace) -> int:
-    from .perf import export_chrome_trace
+    from .telemetry import export_chrome_trace
 
     out, counts = export_chrome_trace(args.trace, args.out)
     print(
@@ -506,24 +399,6 @@ def _cmd_perf_export_trace(args: argparse.Namespace) -> int:
     )
     print("open in https://ui.perfetto.dev or chrome://tracing")
     return 0
-
-
-def _cmd_perf_ingest(args: argparse.Namespace) -> int:
-    from .perf import read_record
-
-    trend = _perf_trend(args)
-    count = 0
-    for path in args.records:
-        try:
-            record = read_record(path)
-        except (OSError, ValueError, KeyError) as error:
-            print(f"skipping {path}: {error}")
-            continue
-        trend.append(record)
-        count += 1
-        print(f"ingested {record.bench_id} ({path})")
-    print(f"{count} record(s) appended to the trend store")
-    return 0 if count or not args.records else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -739,88 +614,9 @@ def build_parser() -> argparse.ArgumentParser:
     telemetry.set_defaults(handler=_cmd_telemetry)
 
     perf = subparsers.add_parser(
-        "perf",
-        help="performance observatory: trend reports, regression checks, "
-             "timeline export",
+        "perf", help="performance tools: Perfetto timeline export"
     )
     perf_sub = perf.add_subparsers(dest="perf_command", required=True)
-
-    def _add_store_flag(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument(
-            "--store", default=None, metavar="DIR",
-            help="trend-store directory (default: $REPRO_PERF_STORE "
-                 "or .perf)",
-        )
-
-    def _add_bench_filter(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument(
-            "--bench", nargs="*", default=None, metavar="ID",
-            help="bench ids to include (default: all recorded)",
-        )
-
-    perf_report = perf_sub.add_parser(
-        "report", help="render the latest record per bench with deltas"
-    )
-    _add_store_flag(perf_report)
-    _add_bench_filter(perf_report)
-    perf_report.add_argument(
-        "--out", default=None, metavar="FILE",
-        help="also write the rendered report to FILE",
-    )
-    perf_report.set_defaults(handler=_cmd_perf_report)
-
-    perf_compare = perf_sub.add_parser(
-        "compare", help="per-series delta report between two revisions"
-    )
-    perf_compare.add_argument("rev_a", help="older git revision (prefix ok)")
-    perf_compare.add_argument("rev_b", help="newer git revision (prefix ok)")
-    _add_store_flag(perf_compare)
-    _add_bench_filter(perf_compare)
-    perf_compare.set_defaults(handler=_cmd_perf_compare)
-
-    perf_check = perf_sub.add_parser(
-        "check",
-        help="regression-check the latest records; exit 1 on confirmed "
-             "regressions, report unarmed gates loudly",
-    )
-    _add_store_flag(perf_check)
-    _add_bench_filter(perf_check)
-    perf_check.add_argument(
-        "--against", default="trend", metavar="trend|FILE",
-        help="baseline source: 'trend' (median of prior same-env runs, "
-             "the default) or a baseline JSON file from 'perf baseline'",
-    )
-    perf_check.add_argument(
-        "--rel-threshold", type=float, default=0.10, metavar="FRAC",
-        help="relative worsening that starts to count (default 0.10)",
-    )
-    perf_check.add_argument(
-        "--mad-k", type=float, default=3.0, metavar="K",
-        help="MADs from baseline required to confirm (default 3.0)",
-    )
-    perf_check.add_argument(
-        "--min-history", type=int, default=2, metavar="N",
-        help="prior same-env runs required to arm (default 2)",
-    )
-    perf_check.add_argument(
-        "--window", type=int, default=5, metavar="K",
-        help="baseline window: median of the last K runs (default 5)",
-    )
-    perf_check.add_argument(
-        "--strict", action="store_true",
-        help="also exit 1 when any gate is unarmed",
-    )
-    perf_check.set_defaults(handler=_cmd_perf_check)
-
-    perf_baseline = perf_sub.add_parser(
-        "baseline", help="freeze the latest records into a baseline file"
-    )
-    _add_store_flag(perf_baseline)
-    _add_bench_filter(perf_baseline)
-    perf_baseline.add_argument(
-        "--out", default="PERF_BASELINE.json", metavar="FILE"
-    )
-    perf_baseline.set_defaults(handler=_cmd_perf_baseline)
 
     perf_export = perf_sub.add_parser(
         "export-trace",
@@ -832,16 +628,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="output path (default: <trace>.chrome.json)",
     )
     perf_export.set_defaults(handler=_cmd_perf_export_trace)
-
-    perf_ingest = perf_sub.add_parser(
-        "ingest",
-        help="append rendered BENCH_*.json views to the trend store",
-    )
-    perf_ingest.add_argument(
-        "records", nargs="+", help="BENCH_*.json files to ingest"
-    )
-    _add_store_flag(perf_ingest)
-    perf_ingest.set_defaults(handler=_cmd_perf_ingest)
     return parser
 
 

@@ -1,27 +1,13 @@
-"""Performance observatory: bench schema, trends, regressions, timelines.
+"""Bench records: the one schema every ``benchmarks/bench_*`` emits.
 
-Built on :mod:`repro.telemetry` (what a run recorded) and
-:mod:`repro.store` (where history lives), this package answers the
-questions telemetry alone cannot: *is this commit slower than the last
-one, on this machine, beyond noise — and where did the time go?*
-
-* :mod:`~repro.perf.record` — the versioned :class:`BenchRecord` schema
-  every ``benchmarks/bench_*`` script emits through one shared writer
-  (environment fingerprint, named series with units, machine-readable
-  gate verdicts);
-* :mod:`~repro.perf.trend` — records appended under a ``perf:``
-  namespace of the content-addressed ResultStore, keyed by
-  (bench id, git rev, env fingerprint);
-* :mod:`~repro.perf.regression` — median-of-K baselines with a
-  relative-threshold + MAD outlier rule and explicit
-  ``gate unarmed: <reason>`` verdicts;
-* :mod:`~repro.perf.trace_export` — Chrome-trace/Perfetto export of the
-  JSONL span traces;
-* :mod:`~repro.perf.report` — rendered trend and comparison reports.
-
-The ``parole perf`` CLI (``report`` / ``compare`` / ``check`` /
-``baseline`` / ``export-trace`` / ``ingest``) fronts all of it; see
-``docs/perf.md``.
+:mod:`~repro.perf.record` defines the versioned :class:`BenchRecord`
+(environment fingerprint, git revision, named series with units,
+machine-readable gate verdicts) and the shared writer/reader pair
+:func:`write_record`/:func:`read_record` behind every ``BENCH_*.json``.
+Each bench asserts its own armed gates; the end-to-end regression rule
+is ``bench/compare.py``.  The Perfetto exporter behind ``parole perf
+export-trace`` lives with the other trace readers in
+:mod:`repro.telemetry`.  See ``docs/perf.md``.
 """
 
 from .record import (
@@ -29,29 +15,10 @@ from .record import (
     BenchRecord,
     BenchSeries,
     GateVerdict,
-    env_digest,
     env_fingerprint,
     new_record,
     read_record,
     write_record,
-)
-from .regression import (
-    RegressionPolicy,
-    RegressionReport,
-    SeriesVerdict,
-    check_against_baseline,
-    compare_records,
-    detect_regressions,
-    make_baseline,
-)
-from .report import render_compare, render_record, render_report
-from .trace_export import chrome_trace_events, export_chrome_trace
-from .trend import (
-    PERF_NAMESPACE,
-    PERF_STORE_ENV,
-    TrendStore,
-    open_trend,
-    open_trend_from_env,
 )
 
 __all__ = [
@@ -59,26 +26,8 @@ __all__ = [
     "BenchRecord",
     "BenchSeries",
     "GateVerdict",
-    "env_digest",
     "env_fingerprint",
     "new_record",
     "read_record",
     "write_record",
-    "RegressionPolicy",
-    "RegressionReport",
-    "SeriesVerdict",
-    "check_against_baseline",
-    "compare_records",
-    "detect_regressions",
-    "make_baseline",
-    "render_compare",
-    "render_record",
-    "render_report",
-    "chrome_trace_events",
-    "export_chrome_trace",
-    "PERF_NAMESPACE",
-    "PERF_STORE_ENV",
-    "TrendStore",
-    "open_trend",
-    "open_trend_from_env",
 ]

@@ -1,15 +1,13 @@
 """Versioned bench-record schema: what every benchmark emits.
 
 A :class:`BenchRecord` is the one JSON shape all ``benchmarks/bench_*``
-scripts produce (replacing the previous per-bench ad-hoc payloads):
+scripts produce:
 
 * an **environment fingerprint** — cpu count, python/numpy versions,
-  platform, optional kernel backend — hashed into ``env_digest`` so the
-  regression detector only ever compares runs from comparable machines;
+  platform, optional kernel backend — saying which machine measured it;
 * the **git revision** and a wall-clock ``created_at`` stamp;
 * named **series** of samples with units and a better-direction flag
-  (``higher`` for throughput/speedups, ``lower`` for latencies), the
-  unit of trend comparison;
+  (``higher`` for throughput/speedups, ``lower`` for latencies);
 * machine-readable **gate verdicts** — every acceptance gate states
   whether it *armed*, and when it could not (``cpu_count=1``), why.
   A gate that never ran is never a silent green check;
@@ -17,18 +15,17 @@ scripts produce (replacing the previous per-bench ad-hoc payloads):
   detail payload, so the rendered ``BENCH_*.json`` files stay rich.
 
 The shared writer (:func:`write_record`) renders the record to the
-bench's historical ``BENCH_<id>.json`` filename; the trend side lives in
-:mod:`repro.perf.trend`.
+bench's historical ``BENCH_<id>.json`` filename, and :func:`read_record`
+parses it back.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import pathlib
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from ..telemetry.manifest import env_fingerprint, git_revision
 
@@ -38,26 +35,14 @@ __all__ = [
     "GateVerdict",
     "BenchRecord",
     "env_fingerprint",
-    "env_digest",
     "new_record",
     "write_record",
     "read_record",
 ]
 
-#: Bump when the record anatomy changes; old records stay readable but
-#: the regression detector refuses to compare across schema versions.
+#: Bump when the record anatomy changes; :meth:`BenchRecord.from_json`
+#: reads any ``repro.perf/bench-record/`` version.
 BENCH_RECORD_SCHEMA = "repro.perf/bench-record/v1"
-
-
-def env_digest(fingerprint: Mapping[str, Any]) -> str:
-    """Short stable hash of an environment fingerprint."""
-    payload = json.dumps(
-        {str(k): fingerprint[k] for k in sorted(fingerprint)},
-        sort_keys=True,
-        separators=(",", ":"),
-        default=str,
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -82,17 +67,6 @@ class BenchSeries:
             self, "values", tuple(float(v) for v in self.values)
         )
         object.__setattr__(self, "meta", dict(self.meta))
-
-    @property
-    def median(self) -> float:
-        """The series' central value (what trends compare)."""
-        if not self.values:
-            return float("nan")
-        ordered = sorted(self.values)
-        mid = len(ordered) // 2
-        if len(ordered) % 2:
-            return ordered[mid]
-        return 0.5 * (ordered[mid - 1] + ordered[mid])
 
     def to_json(self) -> Dict[str, Any]:
         return {
@@ -191,16 +165,6 @@ class BenchRecord:
         if len(names) != len(set(names)):
             raise ValueError(f"duplicate series names in {self.bench_id}")
 
-    @property
-    def env_digest(self) -> str:
-        return env_digest(self.env)
-
-    def series_by_name(self) -> Dict[str, BenchSeries]:
-        return {s.name: s for s in self.series}
-
-    def unarmed_gates(self) -> List[GateVerdict]:
-        return [g for g in self.gates if not g.armed]
-
     def to_json(self) -> Dict[str, Any]:
         return {
             "schema": self.schema,
@@ -208,7 +172,6 @@ class BenchRecord:
             "created_at": self.created_at,
             "git_rev": self.git_rev,
             "env": dict(self.env),
-            "env_digest": self.env_digest,
             "series": [s.to_json() for s in self.series],
             "gates": [g.to_json() for g in self.gates],
             "view": dict(self.view),

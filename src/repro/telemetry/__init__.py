@@ -28,8 +28,9 @@ Typical session::
     session.shutdown()  # flush + restore the no-op backends
 
 The ``parole telemetry`` CLI subcommand summarizes or tails a JSONL
-trace; see ``docs/telemetry.md`` for the event schema and naming
-conventions.
+trace, and ``parole perf export-trace`` converts one into a
+Chrome-trace/Perfetto timeline; see ``docs/telemetry.md`` for the event
+schema and naming conventions.
 """
 
 from __future__ import annotations
@@ -72,7 +73,13 @@ from .manifest import (
     config_hash,
     git_revision,
 )
-from .trace_tools import read_trace, summarize_trace, tail_trace
+from .trace_tools import (
+    chrome_trace_events,
+    export_chrome_trace,
+    read_trace,
+    summarize_trace,
+    tail_trace,
+)
 
 __all__ = [
     "TelemetryConfig",
@@ -114,6 +121,8 @@ __all__ = [
     "read_trace",
     "summarize_trace",
     "tail_trace",
+    "chrome_trace_events",
+    "export_chrome_trace",
 ]
 
 

@@ -1,8 +1,26 @@
-"""Reading side of the JSONL traces: summarize and tail.
+"""Reading side of the JSONL traces: summarize, tail and export.
 
-Backs the ``parole telemetry`` CLI subcommand.  Both helpers are
-tolerant of in-progress files: lines that fail to parse (e.g. a
-partially flushed final line) are counted and skipped, never fatal.
+Backs the ``parole telemetry`` CLI subcommand and ``parole perf
+export-trace``.  Every reader is tolerant of in-progress files: lines
+that fail to parse (e.g. a partially flushed final line) are counted
+and skipped, never fatal, and a field of the wrong shape reads as
+empty.
+
+The exporter converts a trace into the Trace Event Format that
+``chrome://tracing`` and https://ui.perfetto.dev load directly:
+
+* spans become complete events (``ph="X"``) with microsecond ``ts`` /
+  ``dur``, carrying their span/parent ids and attributes in ``args``;
+* point events become instants (``ph="i"``, thread scope);
+* metrics snapshots become counter events (``ph="C"``) so counter
+  trajectories render as tracks under the timeline;
+* records absorbed from fabric workers (stamped ``worker=<pid>``) land
+  on their own process track, with ``process_name`` metadata naming it,
+  so a ``--jobs N`` run shows one lane per worker.
+
+The tracer emits spans at *close*, so JSONL order is children-first;
+viewers sort by ``ts``, which restores the timeline, and same-track
+nesting falls out of containment.
 """
 
 from __future__ import annotations
@@ -10,11 +28,17 @@ from __future__ import annotations
 import json
 import pathlib
 from collections import defaultdict
-from typing import Any, Dict, List, Tuple, Union
+from typing import Any, Dict, List, Mapping, Tuple, Union
 
 from ..errors import ReproError
 
-__all__ = ["read_trace", "summarize_trace", "tail_trace"]
+__all__ = [
+    "read_trace",
+    "summarize_trace",
+    "tail_trace",
+    "chrome_trace_events",
+    "export_chrome_trace",
+]
 
 
 def read_trace(
@@ -144,3 +168,151 @@ def tail_trace(path: Union[str, pathlib.Path], count: int = 20) -> str:
         raise ReproError("tail count must be positive")
     events, _ = read_trace(path)
     return "\n".join(_format_event(record) for record in events[-count:])
+
+
+_MAIN_PID = 0
+
+
+def _object(value: Any) -> Mapping[str, Any]:
+    """A record field that should be a JSON object, else empty."""
+    return value if isinstance(value, Mapping) else {}
+
+
+def _lane(attrs: Mapping[str, Any]) -> int:
+    """Process lane for a record: worker pid when absorbed, else main."""
+    worker = attrs.get("worker")
+    if isinstance(worker, int) and worker > 0:
+        return worker
+    return _MAIN_PID
+
+
+def _sanitize(value: Any) -> Any:
+    """Make an attrs payload strict-JSON safe (no NaN/Inf, no objects)."""
+    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
+        return value
+    if isinstance(value, float):
+        if value != value or abs(value) == float("inf"):
+            return repr(value)
+        return value
+    if isinstance(value, Mapping):
+        return {str(k): _sanitize(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_sanitize(item) for item in value]
+    return str(value)
+
+
+def chrome_trace_events(
+    records: List[Dict[str, Any]],
+) -> List[Dict[str, Any]]:
+    """Map parsed JSONL records onto Trace Event Format dicts."""
+    events: List[Dict[str, Any]] = []
+    lanes = {_MAIN_PID}
+    for record in records:
+        kind = record.get("type")
+        name = str(record.get("name", "?"))
+        attrs = _object(record.get("attrs"))
+        pid = _lane(attrs)
+        lanes.add(pid)
+        if kind == "span":
+            start_us = _as_float(record.get("start")) * 1e6
+            dur_us = max(0.0, _as_float(record.get("duration_s")) * 1e6)
+            args: Dict[str, Any] = {
+                "span_id": record.get("span_id"),
+                "parent_id": record.get("parent_id"),
+            }
+            if "error" in record:
+                args["error"] = record["error"]
+            args.update(_sanitize(attrs))
+            events.append(
+                {
+                    "name": name,
+                    "ph": "X",
+                    "ts": start_us,
+                    "dur": dur_us,
+                    "pid": pid,
+                    "tid": 0,
+                    "cat": name.split(".", 1)[0],
+                    "args": args,
+                }
+            )
+        elif kind == "event":
+            events.append(
+                {
+                    "name": name,
+                    "ph": "i",
+                    "ts": _as_float(record.get("t")) * 1e6,
+                    "pid": pid,
+                    "tid": 0,
+                    "s": "t",
+                    "cat": name.split(".", 1)[0],
+                    "args": _sanitize(attrs),
+                }
+            )
+        elif kind == "metrics":
+            counters = _object(
+                _object(record.get("metrics")).get("counters")
+            )
+            numeric = {
+                str(k): _as_float(v)
+                for k, v in counters.items()
+                if isinstance(v, (int, float))
+            }
+            if numeric:
+                events.append(
+                    {
+                        "name": "counters",
+                        "ph": "C",
+                        "ts": _as_float(record.get("t")) * 1e6,
+                        "pid": pid,
+                        "tid": 0,
+                        "args": numeric,
+                    }
+                )
+    # Name the process lanes so Perfetto shows "main" / "worker <pid>".
+    for pid in sorted(lanes):
+        label = "main" if pid == _MAIN_PID else f"worker {pid}"
+        events.append(
+            {
+                "name": "process_name",
+                "ph": "M",
+                "pid": pid,
+                "tid": 0,
+                "args": {"name": label},
+            }
+        )
+    return events
+
+
+def export_chrome_trace(
+    trace_path: Union[str, pathlib.Path],
+    out_path: Union[str, pathlib.Path, None] = None,
+) -> Tuple[pathlib.Path, Dict[str, int]]:
+    """Convert a JSONL trace file into a Chrome-trace JSON file.
+
+    Returns the output path and counts of converted/skipped records.
+    The output is strict JSON (``allow_nan=False``) so every viewer
+    accepts it.
+    """
+    trace_path = pathlib.Path(trace_path)
+    records, bad = read_trace(trace_path)
+    events = chrome_trace_events(records)
+    payload = {
+        "traceEvents": events,
+        "displayTimeUnit": "ms",
+        "otherData": {
+            "source": str(trace_path),
+            "format": "repro.telemetry JSONL trace",
+        },
+    }
+    out = (
+        pathlib.Path(out_path)
+        if out_path is not None
+        else trace_path.with_suffix(".chrome.json")
+    )
+    out.write_text(json.dumps(payload, allow_nan=False) + "\n")
+    counts = {
+        "records": len(records),
+        "events": len(events),
+        "skipped": bad,
+    }
+    return out, counts

@@ -1,151 +1,11 @@
-"""`parole perf` CLI: check/report/compare/baseline/export-trace/ingest."""
+"""`parole perf` CLI: the export-trace round trip."""
 
 from __future__ import annotations
 
 import json
 
 from repro.cli import main
-from repro.perf import (
-    BenchRecord,
-    BenchSeries,
-    open_trend,
-    write_record,
-)
 from repro.telemetry import FileSink, Tracer
-
-ENV = {"cpu_count": 4, "python_version": "3.11.7", "numpy_version": "2.4.6"}
-
-
-def _rec(value, rev, created_at, bench_id="replay"):
-    return BenchRecord(
-        bench_id=bench_id,
-        created_at=created_at,
-        git_rev=rev,
-        env=ENV,
-        series=(BenchSeries("speedup", "x", (value,)),),
-    )
-
-
-def _seed_history(store, values=(100.0, 102.0, 98.0)):
-    trend = open_trend(store)
-    for i, value in enumerate(values):
-        trend.append(_rec(value, f"rev{i}", 100.0 + i))
-    return trend
-
-
-class TestPerfCheck:
-    def test_injected_regression_exits_nonzero(self, tmp_path, capsys):
-        trend = _seed_history(tmp_path)
-        trend.append(_rec(50.0, "badrev", 500.0))
-        code = main(["perf", "check", "--store", str(tmp_path)])
-        assert code == 1
-        assert "REGRESSION:" in capsys.readouterr().out
-
-    def test_noise_level_jitter_exits_zero(self, tmp_path, capsys):
-        trend = _seed_history(tmp_path)
-        trend.append(_rec(97.0, "newrev", 500.0))
-        code = main(["perf", "check", "--store", str(tmp_path)])
-        assert code == 0
-        assert "REGRESSION:" not in capsys.readouterr().out
-
-    def test_unarmed_passes_unless_strict(self, tmp_path, capsys):
-        trend = open_trend(tmp_path)
-        trend.append(_rec(100.0, "only", 100.0))  # no history to arm against
-        assert main(["perf", "check", "--store", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "gate unarmed:" in out
-        assert (
-            main(["perf", "check", "--store", str(tmp_path), "--strict"]) == 1
-        )
-
-    def test_empty_store(self, tmp_path):
-        assert main(["perf", "check", "--store", str(tmp_path)]) == 0
-        assert (
-            main(["perf", "check", "--store", str(tmp_path), "--strict"]) == 1
-        )
-
-    def test_store_from_environment_variable(self, tmp_path, monkeypatch):
-        trend = _seed_history(tmp_path)
-        trend.append(_rec(50.0, "badrev", 500.0))
-        monkeypatch.setenv("REPRO_PERF_STORE", str(tmp_path))
-        assert main(["perf", "check"]) == 1
-
-    def test_threshold_flag_tightens_the_gate(self, tmp_path):
-        trend = _seed_history(tmp_path, values=(100.0, 100.0, 100.0))
-        trend.append(_rec(97.0, "newrev", 500.0))  # -3%
-        store = str(tmp_path)
-        assert main(["perf", "check", "--store", store]) == 0
-        assert (
-            main(
-                ["perf", "check", "--store", store, "--rel-threshold", "0.02"]
-            )
-            == 1
-        )
-
-
-class TestPerfBaseline:
-    def test_freeze_then_check_against_file(self, tmp_path, capsys):
-        _seed_history(tmp_path)
-        baseline = tmp_path / "PERF_BASELINE.json"
-        code = main(
-            ["perf", "baseline", "--store", str(tmp_path), "--out",
-             str(baseline)]
-        )
-        assert code == 0
-        assert baseline.exists()
-        capsys.readouterr()
-
-        # Same numbers: clean pass against the frozen file.
-        assert (
-            main(
-                ["perf", "check", "--store", str(tmp_path), "--against",
-                 str(baseline)]
-            )
-            == 0
-        )
-        # Inject a regression on a new rev: the file check flags it.
-        open_trend(tmp_path).append(_rec(50.0, "badrev", 500.0))
-        assert (
-            main(
-                ["perf", "check", "--store", str(tmp_path), "--against",
-                 str(baseline)]
-            )
-            == 1
-        )
-
-    def test_baseline_on_empty_store_fails(self, tmp_path):
-        assert (
-            main(
-                ["perf", "baseline", "--store", str(tmp_path), "--out",
-                 str(tmp_path / "b.json")]
-            )
-            == 1
-        )
-
-
-class TestPerfReportCompare:
-    def test_report_lists_series(self, tmp_path, capsys):
-        _seed_history(tmp_path)
-        out_file = tmp_path / "report.txt"
-        code = main(
-            ["perf", "report", "--store", str(tmp_path), "--out",
-             str(out_file)]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "replay" in out
-        assert "speedup" in out
-        assert "speedup" in out_file.read_text()
-
-    def test_compare_shows_per_series_delta(self, tmp_path, capsys):
-        _seed_history(tmp_path)
-        code = main(
-            ["perf", "compare", "rev0", "rev2", "--store", str(tmp_path)]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "speedup" in out
-        assert "%" in out
 
 
 class TestPerfExportTrace:
@@ -166,30 +26,3 @@ class TestPerfExportTrace:
         assert any(
             e.get("name") == "campaign.run" for e in payload["traceEvents"]
         )
-
-
-class TestPerfIngest:
-    def test_ingest_rendered_views(self, tmp_path, capsys):
-        views = tmp_path / "views"
-        views.mkdir()
-        store = tmp_path / "store"
-        path_a = write_record(_rec(5.0, "rev1", 100.0, bench_id="a"), views)
-        path_b = write_record(_rec(6.0, "rev1", 100.0, bench_id="b"), views)
-        code = main(
-            ["perf", "ingest", str(path_a), str(path_b), "--store",
-             str(store)]
-        )
-        assert code == 0
-        assert "2 record(s)" in capsys.readouterr().out
-        assert open_trend(store).bench_ids() == ["a", "b"]
-
-    def test_ingest_skips_garbage_and_fails_if_nothing_lands(
-        self, tmp_path, capsys
-    ):
-        bogus = tmp_path / "BENCH_bogus.json"
-        bogus.write_text('{"schema": "something-else"}')
-        code = main(
-            ["perf", "ingest", str(bogus), "--store", str(tmp_path / "s")]
-        )
-        assert code == 1
-        assert "skipping" in capsys.readouterr().out

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
 from repro.perf import (
@@ -11,7 +9,6 @@ from repro.perf import (
     BenchRecord,
     BenchSeries,
     GateVerdict,
-    env_digest,
     env_fingerprint,
     new_record,
     read_record,
@@ -20,13 +17,6 @@ from repro.perf import (
 
 
 class TestBenchSeries:
-    def test_median_odd_and_even(self):
-        assert BenchSeries("s", "x", (3.0, 1.0, 2.0)).median == 2.0
-        assert BenchSeries("s", "x", (1.0, 2.0, 3.0, 4.0)).median == 2.5
-
-    def test_empty_series_median_is_nan(self):
-        assert math.isnan(BenchSeries("s", "x", ()).median)
-
     def test_rejects_bad_direction(self):
         with pytest.raises(ValueError):
             BenchSeries("s", "x", (1.0,), direction="sideways")
@@ -74,16 +64,11 @@ class TestEnvFingerprint:
         for key in ("cpu_count", "python_version", "numpy_version"):
             assert key in fp
 
-    def test_digest_is_stable_and_sensitive(self):
-        fp = env_fingerprint()
-        assert env_digest(fp) == env_digest(dict(fp))
-        changed = dict(fp, cpu_count=fp["cpu_count"] + 1)
-        assert env_digest(changed) != env_digest(fp)
-
-    def test_kernel_backend_moves_the_digest(self):
-        assert env_digest(env_fingerprint(kernel_backend="c")) != env_digest(
-            env_fingerprint(kernel_backend="python")
-        )
+    def test_kernel_backend_moves_the_fingerprint(self):
+        c_backend = env_fingerprint(kernel_backend="c")
+        assert c_backend["kernel_backend"] == "c"
+        assert c_backend != env_fingerprint(kernel_backend="python")
+        assert "kernel_backend" not in env_fingerprint()
 
 
 class TestBenchRecord:
@@ -119,7 +104,6 @@ class TestBenchRecord:
         )
         twin = BenchRecord.from_json(record.to_json())
         assert twin == record
-        assert twin.env_digest == record.env_digest
 
     def test_from_json_rejects_foreign_schema(self):
         with pytest.raises(ValueError):
@@ -132,14 +116,3 @@ class TestBenchRecord:
         path = write_record(record, tmp_path)
         assert path.name == "BENCH_replay.json"
         assert read_record(path) == record
-
-    def test_unarmed_gates_listed(self):
-        record = new_record(
-            "b",
-            series=[BenchSeries("s", "x", (1.0,))],
-            gates=[
-                GateVerdict("armed", armed=True, passed=True),
-                GateVerdict("skipped", armed=False, reason="cpu_count=1"),
-            ],
-        )
-        assert [g.name for g in record.unarmed_gates()] == ["skipped"]
