@@ -3,7 +3,8 @@
 Profiles the DQN greedy rollout against the APOPT/MINOS/SNOPT stand-ins
 across mempool sizes and checks the paper's shape: the DQN is the
 fastest at the largest size, and the NLP solvers' cost grows faster
-with N than the DQN's.
+with N than the DQN's.  Both claims are about wall-clock time, which is
+why this figure is a bench and not a Tier-1 conformance test.
 """
 
 
@@ -24,8 +25,8 @@ def _run():
     )
 
 
-def test_fig11_solver_comparison(benchmark, save_artifact, emit_bench):
-    rows = benchmark.pedantic(_run, rounds=1, iterations=1)
+def test_fig11_solver_comparison(save_artifact, emit_bench):
+    rows = _run()
     save_artifact("fig11_solver_comparison", render_fig11(rows))
     emit_bench(
         "fig11_solver_comparison",
@@ -43,7 +44,6 @@ def test_fig11_solver_comparison(benchmark, save_artifact, emit_bench):
                 meta={"N": SIZES[-1]},
             )
         ],
-        benchmark=benchmark,
     )
 
     assert len(rows) == len(SIZES) * 4

@@ -35,13 +35,16 @@ kernel loads; recorded UNARMED with the reason where it does not).
 A second bench (``BENCH_telemetry.json``) measures what the telemetry
 instrumentation costs on the same hot path: the disabled no-op backends
 must stay within 5% of a fully uninstrumented scoring loop, and the
-enabled-path overhead is archived for the record.
+enabled-path overhead is archived for the record.  Both are medians of
+per-pair ratios over walks timed in alternating order, so host-load
+drift lands on both sides of a pair.
 """
 
 from __future__ import annotations
 
 import os
 import platform
+import statistics
 import time
 
 import numpy as np
@@ -71,9 +74,9 @@ BATCH_REPEATS = 3
 BATCH_MIN_SPEEDUP_AT_32 = 5.0
 
 BENCH_SCHEMA = "BENCH_replay/v2"
-TELEMETRY_BENCH_SCHEMA = "BENCH_telemetry/v1"
+TELEMETRY_BENCH_SCHEMA = "BENCH_telemetry/v2"
 TELEMETRY_SIZES = (20, 50)
-TELEMETRY_REPEATS = 5
+TELEMETRY_PAIRS = 40
 MAX_DISABLED_OVERHEAD = 0.05
 
 
@@ -430,58 +433,76 @@ class UninstrumentedEnv(ReorderEnv):
         return dict(cached)
 
 
-def _time_env_walk(env_cls, workload, orders, repeats: int) -> float:
-    """Best-of-``repeats`` wall time of scoring the swap walk once.
+def _time_env_walk(env_cls, workload, orders) -> float:
+    """Wall time of scoring the swap walk once.
 
-    A fresh environment per repeat (identical cache state across
-    configurations); best-of-N suppresses scheduler noise.
+    A fresh environment per walk, so every configuration starts from
+    the same (empty) cache state.
     """
-    best = float("inf")
-    for _ in range(repeats):
-        env = env_cls(
-            pre_state=workload.pre_state,
-            transactions=workload.transactions,
-            ifus=workload.ifus,
-            config=GenTranSeqConfig(steps_per_episode=len(orders), seed=0),
-        )
-        started = time.perf_counter()
-        for order in orders:
-            env.evaluate_order(order)
-        best = min(best, time.perf_counter() - started)
-    return best
+    env = env_cls(
+        pre_state=workload.pre_state,
+        transactions=workload.transactions,
+        ifus=workload.ifus,
+        config=GenTranSeqConfig(steps_per_episode=len(orders), seed=0),
+    )
+    started = time.perf_counter()
+    for order in orders:
+        env.evaluate_order(order)
+    return time.perf_counter() - started
+
+
+def _time_enabled_walk(workload, orders) -> float:
+    enable_metrics()
+    enable_tracing(RingBufferSink(capacity=4096))
+    try:
+        return _time_env_walk(ReorderEnv, workload, orders)
+    finally:
+        disable_metrics()
+        disable_tracing()
 
 
 def _bench_telemetry_size(size: int) -> dict:
+    """Median per-pair overheads of the disabled and enabled walks.
+
+    Each of ``TELEMETRY_PAIRS`` pairs times the uninstrumented and the
+    disabled-telemetry walk back to back, alternating which runs first,
+    then one enabled walk; an overhead is the median over pairs of
+    ``instrumented / uninstrumented - 1``.
+    """
     workload = _workload(size)
     rng = np.random.default_rng(11)
     orders = _swap_orders(rng, size, SWAPS_PER_SIZE)
 
     disable_metrics()
     disable_tracing()
-    uninstrumented = _time_env_walk(
-        UninstrumentedEnv, workload, orders, TELEMETRY_REPEATS
-    )
-    disabled = _time_env_walk(ReorderEnv, workload, orders, TELEMETRY_REPEATS)
+    uninstrumented, disabled, enabled = [], [], []
+    for pair in range(TELEMETRY_PAIRS):
+        if pair % 2 == 0:
+            uninstrumented.append(
+                _time_env_walk(UninstrumentedEnv, workload, orders)
+            )
+            disabled.append(_time_env_walk(ReorderEnv, workload, orders))
+        else:
+            disabled.append(_time_env_walk(ReorderEnv, workload, orders))
+            uninstrumented.append(
+                _time_env_walk(UninstrumentedEnv, workload, orders)
+            )
+        enabled.append(_time_enabled_walk(workload, orders))
 
-    enable_metrics()
-    enable_tracing(RingBufferSink(capacity=4096))
-    try:
-        enabled = _time_env_walk(
-            ReorderEnv, workload, orders, TELEMETRY_REPEATS
-        )
-    finally:
-        disable_metrics()
-        disable_tracing()
+    def overhead(timings):
+        return statistics.median(
+            t / u for t, u in zip(timings, uninstrumented)
+        ) - 1.0
 
     return {
         "size": size,
         "swaps": SWAPS_PER_SIZE,
-        "repeats": TELEMETRY_REPEATS,
-        "uninstrumented_seconds": uninstrumented,
-        "disabled_seconds": disabled,
-        "enabled_seconds": enabled,
-        "disabled_overhead": disabled / uninstrumented - 1.0,
-        "enabled_overhead": enabled / uninstrumented - 1.0,
+        "pairs": TELEMETRY_PAIRS,
+        "uninstrumented_seconds": statistics.median(uninstrumented),
+        "disabled_seconds": statistics.median(disabled),
+        "enabled_seconds": statistics.median(enabled),
+        "disabled_overhead": overhead(disabled),
+        "enabled_overhead": overhead(enabled),
     }
 
 
@@ -491,6 +512,7 @@ def test_telemetry_overhead(save_artifact, emit_bench):
 
     lines = [
         "Telemetry overhead on ReorderEnv.evaluate_order (single-swap walk)",
+        f"medians over {TELEMETRY_PAIRS} alternating pairs",
         "",
         f"{'N':>4}  {'uninstr ms':>11}  {'disabled ms':>12}  "
         f"{'enabled ms':>11}  {'off ovh%':>9}  {'on ovh%':>8}",

@@ -1,9 +1,10 @@
 """Shared helpers for the benchmark suite.
 
-Every bench regenerates its paper table/figure as text; outputs are
+Every bench renders what it measured as a text table; tables are
 printed (visible with ``pytest -s``) and archived under
-``benchmarks/results/`` so a bench run leaves the full set of regenerated
-artifacts on disk.
+``benchmarks/results/`` so a bench run leaves its artifacts on disk.
+The paper's qualitative claims are checked in Tier-1
+(``tests/conformance/``); the benches here time things.
 
 Numbers flow through one shared writer: the :func:`emit_bench` fixture
 builds a versioned :class:`repro.perf.BenchRecord` (environment
@@ -40,20 +41,6 @@ def save_artifact():
     return _save
 
 
-def _benchmark_samples(benchmark) -> list:
-    """Raw wall-clock samples from a pytest-benchmark fixture, if any.
-
-    Absent stats (``--benchmark-disable``, or the fixture never ran)
-    degrade to no series rather than an error.
-    """
-    if benchmark is None:
-        return []
-    try:
-        return [float(v) for v in benchmark.stats.stats.data]
-    except (AttributeError, TypeError):
-        return []
-
-
 @pytest.fixture()
 def emit_bench():
     """The one shared writer behind every ``BENCH_*.json`` artifact."""
@@ -66,14 +53,7 @@ def emit_bench():
         view=None,
         meta=None,
         kernel_backend=None,
-        benchmark=None,
     ):
-        series = list(series)
-        samples = _benchmark_samples(benchmark)
-        if samples:
-            series.append(
-                BenchSeries("wall_time", "s", samples, direction="lower")
-            )
         record = new_record(
             bench_id,
             series=series,

@@ -9,6 +9,10 @@ table and figure can be regenerated from the shell::
     parole fig6 / fig7 / fig8 / fig9 / fig10 / fig11
     parole defense                # Section VIII evaluation
     parole telemetry trace.jsonl  # summarize a recorded span trace
+
+``table3``, ``fig6``-``fig11`` and ``defense`` run the same registry
+entry as ``run-all`` (via :func:`repro.api.run_experiment`), so each
+prints exactly the text ``run-all`` archives at the same effort.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from . import experiments
+from . import api, experiments
 from .config import eth_to_satoshi
 from .experiments import FULL, QUICK, EffortPreset
 from .parallel import TaskRunner, get_runner
@@ -110,57 +114,13 @@ def _cmd_attack(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_table3(args: argparse.Namespace) -> int:
-    print(experiments.render_table3())
-    return 0
-
-
-def _cmd_fig6(args: argparse.Namespace) -> int:
+def _cmd_experiment(args: argparse.Namespace) -> int:
+    """One registered experiment, run exactly as ``run-all`` runs it."""
     with _runner(args) as runner:
-        points = experiments.run_fig6(preset=_preset(args), runner=runner)
-    print(experiments.render_fig6(points))
-    return 0
-
-
-def _cmd_fig7(args: argparse.Namespace) -> int:
-    with _runner(args) as runner:
-        points = experiments.run_fig7(preset=_preset(args), runner=runner)
-    print(experiments.render_fig7(points))
-    return 0
-
-
-def _cmd_fig8(args: argparse.Namespace) -> int:
-    with _runner(args) as runner:
-        series = experiments.run_fig8(preset=_preset(args), runner=runner)
-    print(experiments.render_fig8(series))
-    return 0
-
-
-def _cmd_fig9(args: argparse.Namespace) -> int:
-    with _runner(args) as runner:
-        curves = experiments.run_fig9(preset=_preset(args), runner=runner)
-    print(experiments.render_fig9(curves))
-    return 0
-
-
-def _cmd_fig10(args: argparse.Namespace) -> int:
-    print(experiments.render_fig10())
-    return 0
-
-
-def _cmd_fig11(args: argparse.Namespace) -> int:
-    with _runner(args) as runner:
-        rows = experiments.run_fig11(runner=runner)
-    print(experiments.render_fig11(rows))
-    return 0
-
-
-def _cmd_defense(args: argparse.Namespace) -> int:
-    with _runner(args) as runner:
-        points = experiments.run_defense_eval(
-            preset=_preset(args), runner=runner
+        outcome = api.run_experiment(
+            args.command, _preset(args), runner=runner
         )
-    print(experiments.render_defense_eval(points))
+    print(outcome.text, end="")
     return 0
 
 
@@ -426,22 +386,22 @@ def build_parser() -> argparse.ArgumentParser:
                         help="use the paper's full Table II budget")
     attack.set_defaults(handler=_cmd_attack)
 
-    for name, handler, help_text in (
-        ("table3", _cmd_table3, "regenerate Table III"),
-        ("fig6", _cmd_fig6, "profit vs number of IFUs"),
-        ("fig7", _cmd_fig7, "profit vs adversarial fraction"),
-        ("fig8", _cmd_fig8, "DQN learning curves"),
-        ("fig9", _cmd_fig9, "solution-size KDEs"),
-        ("fig10", _cmd_fig10, "NFT snapshot study"),
-        ("fig11", _cmd_fig11, "solver comparison"),
-        ("defense", _cmd_defense, "Section VIII defense evaluation"),
+    for name, help_text in (
+        ("table3", "regenerate Table III"),
+        ("fig6", "profit vs number of IFUs"),
+        ("fig7", "profit vs adversarial fraction"),
+        ("fig8", "DQN learning curves"),
+        ("fig9", "solution-size KDEs"),
+        ("fig10", "NFT snapshot study"),
+        ("fig11", "solver comparison"),
+        ("defense", "Section VIII defense evaluation"),
     ):
         sub = subparsers.add_parser(name, help=help_text)
         sub.add_argument("--full", action="store_true",
                          help="use the paper's full budgets")
         if name not in ("table3", "fig10"):
             _add_jobs_flag(sub)
-        sub.set_defaults(handler=handler)
+        sub.set_defaults(handler=_cmd_experiment)
 
     campaign = subparsers.add_parser(
         "campaign", help="multi-round attack with a persistent agent"

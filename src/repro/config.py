@@ -258,8 +258,6 @@ class TelemetryConfig:
     trace_path: Optional[str] = None
     #: Capacity of the in-memory ring buffer used when no file is given.
     ring_buffer_size: int = 4096
-    #: Mirror trace events to stderr (live debugging).
-    trace_to_stderr: bool = False
 
     def __post_init__(self) -> None:
         _require(self.ring_buffer_size > 0,

@@ -7,7 +7,8 @@ therefore one persistent DQN agent) is run across many rollup rounds;
 experience accumulates in the replay buffer, so later rounds start from
 a trained policy.  The campaign records per-round profit and solution
 telemetry, letting the warm-start benefit be measured (see
-``bench_campaign`` and ``examples/attack_campaign.py``).
+``tests/conformance/test_extensions.py`` and
+``examples/attack_campaign.py``).
 """
 
 from __future__ import annotations

@@ -6,7 +6,8 @@ transaction to a new position — ``N * (N - 1)`` "take i, insert before
 j" actions.  Insertion reaches any permutation in at most ``N - 1``
 moves (vs swaps' ``N - 1`` too, but with different neighbourhood
 geometry) and is the standard move in list-scheduling local search.
-DESIGN.md calls this ablation out; ``bench_ablations`` runs it.
+DESIGN.md calls this ablation out; ``tests/conformance/test_ablations.py``
+runs it.
 
 The class reuses the whole scoring/feasibility machinery of
 :class:`~repro.core.environment.ReorderEnv` and only overrides the

@@ -33,9 +33,8 @@ def run_fig10(
     return (scanner or ArbitrageScanner()).summarize(store)
 
 
-def render_fig10(summaries: Optional[List[TierSummary]] = None) -> str:
+def render_fig10(summaries: List[TierSummary]) -> str:
     """Figure 10's cells as a table."""
-    data = summaries if summaries is not None else run_fig10()
     rows = [
         (
             cell.chain.value,
@@ -45,7 +44,7 @@ def render_fig10(summaries: Optional[List[TierSummary]] = None) -> str:
             f"{cell.total_profit_eth:.3f}",
             f"{cell.mean_profit_eth:.4f}",
         )
-        for cell in data
+        for cell in summaries
     ]
     return format_table(
         (

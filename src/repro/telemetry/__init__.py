@@ -9,8 +9,8 @@ Three cooperating pieces, all zero-dependency and off by default:
   observability is off.
 * :mod:`~repro.telemetry.tracing` — structured span tracing emitting
   JSONL events (monotonic timestamps, parent/child span ids, attached
-  metric snapshots) into pluggable sinks: in-memory ring buffer, file,
-  or stderr.
+  metric snapshots) into pluggable sinks: in-memory ring buffer or
+  file.
 * :mod:`~repro.telemetry.manifest` — run manifests: config hash, seed,
   git revision, host fingerprint, duration, the process's peak resident
   set (``getrusage``) and a metrics dump written next to experiment
@@ -56,7 +56,6 @@ from .tracing import (
     NullSink,
     RingBufferSink,
     Span,
-    StderrSink,
     TraceSink,
     Tracer,
     disable_tracing,
@@ -104,7 +103,6 @@ __all__ = [
     "NullSink",
     "RingBufferSink",
     "FileSink",
-    "StderrSink",
     "get_tracer",
     "set_tracer",
     "enable_tracing",
@@ -140,21 +138,6 @@ def reset_for_worker() -> None:
     disable_tracing()
 
 
-class _FanOutSink(TraceSink):
-    """Duplicates every event into several sinks."""
-
-    def __init__(self, *sinks: TraceSink) -> None:
-        self.sinks = tuple(sinks)
-
-    def emit(self, record) -> None:
-        for sink in self.sinks:
-            sink.emit(record)
-
-    def close(self) -> None:
-        for sink in self.sinks:
-            sink.close()
-
-
 @dataclass
 class TelemetrySession:
     """Handle over one configured telemetry setup."""
@@ -186,15 +169,12 @@ def configure(config: Optional[TelemetryConfig] = None) -> TelemetrySession:
         )
     registry = enable_metrics()
     ring: Optional[RingBufferSink] = None
-    sinks: list = []
+    sink: TraceSink
     if cfg.trace_path is not None:
-        sinks.append(FileSink(cfg.trace_path))
+        sink = FileSink(cfg.trace_path)
     else:
         ring = RingBufferSink(capacity=cfg.ring_buffer_size)
-        sinks.append(ring)
-    if cfg.trace_to_stderr:
-        sinks.append(StderrSink())
-    sink = sinks[0] if len(sinks) == 1 else _FanOutSink(*sinks)
+        sink = ring
     tracer = enable_tracing(sink)
     return TelemetrySession(
         config=cfg, metrics=registry, tracer=tracer, ring=ring

@@ -19,7 +19,7 @@ tree from ``parent_id`` alone, and tail-reading a live file shows
 finished work first.
 
 Sinks are pluggable: an in-memory ring buffer (tests, `parole
-telemetry`), an append-only JSONL file, or stderr.  The module-level
+telemetry`) or an append-only JSONL file.  The module-level
 :func:`span` / :func:`event` helpers delegate to the active tracer and
 collapse to shared no-op objects when tracing is disabled, so
 instrumented call sites cost almost nothing by default.
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import sys
 import threading
 import time
 from collections import deque
@@ -44,7 +43,6 @@ __all__ = [
     "NullSink",
     "RingBufferSink",
     "FileSink",
-    "StderrSink",
     "get_tracer",
     "set_tracer",
     "enable_tracing",
@@ -93,26 +91,6 @@ class RingBufferSink(TraceSink):
     def clear(self) -> None:
         with self._lock:
             self._events.clear()
-
-
-class _StreamSink(TraceSink):
-    """Writes one compact JSON document per line to a stream."""
-
-    def __init__(self, stream: IO[str]) -> None:
-        self._stream = stream
-        self._lock = threading.Lock()
-
-    def emit(self, record: Dict[str, Any]) -> None:
-        line = json.dumps(record, separators=(",", ":"), default=str)
-        with self._lock:
-            self._stream.write(line + "\n")
-
-
-class StderrSink(_StreamSink):
-    """JSONL to stderr (live debugging)."""
-
-    def __init__(self) -> None:
-        super().__init__(sys.stderr)
 
 
 class FileSink(TraceSink):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import run_experiment
 from repro.cli import build_parser, main
 
 
@@ -42,6 +43,10 @@ class TestExecution:
         assert main(["fig10"]) == 0
         out = capsys.readouterr().out
         assert "arbitrum" in out
+
+    def test_fig8_prints_the_run_all_text(self, capsys):
+        assert main(["fig8"]) == 0
+        assert capsys.readouterr().out == run_experiment("fig8").text
 
     def test_bisect_output(self, capsys):
         assert main(["bisect", "--fault-step", "2"]) == 0

@@ -1,8 +1,9 @@
 """Coarse scalability guards.
 
-Not micro-benchmarks (pytest-benchmark owns those) — these are generous
-upper bounds that fail only on order-of-magnitude regressions in the
-paths every experiment hammers.
+Not micro-benchmarks (the gate benches in ``benchmarks/`` and the
+end-to-end ``bench/`` own those) — these are generous upper bounds that
+fail only on order-of-magnitude regressions in the paths every
+experiment hammers.
 """
 
 import time
