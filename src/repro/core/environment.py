@@ -209,8 +209,9 @@ class ReorderEnv(Environment):
         batch kernel in one :meth:`BatchReplayEngine.evaluate_many`
         call.  When the compiled kernel cannot load
         (``kernel_backend() == "python"``), every miss routes through the
-        incremental engine — bit-identical, only slower.  Duplicate
-        misses within the population replay once.
+        incremental engine, which then replays each one with
+        ``OVM.replay`` — bit-identical, only slower.  Duplicate misses
+        within the population replay once.
 
         Returns one evaluation dict per input order, positionally, each
         identical to what :meth:`evaluate_order` returns for that order

@@ -1,20 +1,24 @@
-"""Lazy compiler/loader for the batch replay C kernel.
+"""Lazy compiler/loader for the replay C kernel.
 
-``_batch_replay.c`` is the step loop of the columnar batch replay
-engine: it walks each candidate's steps as sequential scalar IEEE-754
-operations in ``OVM.replay``'s exact order.  This module compiles it
-with the system C compiler on first use (once per process, into a
-temporary directory; ``CC`` names the compiler) and binds it through
-:mod:`ctypes`.
+``_batch_replay.c`` holds the replay step loops: ``parole_resume``
+scores one ordering by resuming from the prefix it shares with the
+previous one (the K=1 path of ``IncrementalOVM``), and
+``parole_batch_replay`` steps K orderings in lockstep (the
+``BatchReplayEngine`` path).  Both run one shared transition in
+``OVM.replay``'s exact IEEE-754 operation order.  This module compiles
+the source with the system C compiler on first use (once per process,
+into a temporary directory; ``CC`` names the compiler), binds it
+through :mod:`ctypes`, and mirrors the kernel's two structs
+(:class:`Tables`, :class:`Cursor`).
 
 Loading can fail: no compiler, a failed compile, or a platform whose
 ``intp`` is narrower than the kernel's 64-bit index ABI.  The failure is
 loud but not fatal: :func:`load_kernel` emits one ``RuntimeWarning``
 naming the reason, :func:`kernel_backend` reports ``"python"``,
 :func:`require_kernel` (what ``BatchReplayEngine`` calls) raises
-:class:`~repro.errors.KernelUnavailableError`, and
-``ReorderEnv.evaluate_orders`` scores every miss through the K=1
-``IncrementalOVM`` path instead — bit-identical, just slower.
+:class:`~repro.errors.KernelUnavailableError`, and ``IncrementalOVM``
+scores every ordering with a from-scratch ``OVM.replay`` instead —
+bit-identical, just slower.
 """
 
 from __future__ import annotations
@@ -38,6 +42,50 @@ _CFLAGS = ["-O2", "-fPIC", "-shared", "-ffp-contract=off"]
 _loaded = False
 _kernel: Optional[ctypes.CDLL] = None
 _failure: Optional[KernelUnavailableError] = None
+
+
+class Tables(ctypes.Structure):
+    """``parole_tables``: one pre-state's compiled roles (read-only)."""
+
+    _fields_ = [
+        ("roles", ctypes.c_void_p),
+        ("fees", ctypes.c_void_p),
+        ("table", ctypes.c_void_p),
+        ("initial_price", ctypes.c_double),
+        ("max_supply", ctypes.c_int64),
+        ("strict", ctypes.c_int64),
+        ("charge", ctypes.c_int64),
+        ("pool_row", ctypes.c_int64),
+        ("n_tx", ctypes.c_int64),
+        ("n_rows", ctypes.c_int64),
+        ("n_real", ctypes.c_int64),
+    ]
+
+
+class Cursor(ctypes.Structure):
+    """``parole_cursor``: the K=1 working state and last call's results."""
+
+    _fields_ = [
+        ("bal", ctypes.c_void_p),
+        ("inv", ctypes.c_void_p),
+        ("rem0", ctypes.c_int64),
+        ("rem", ctypes.c_int64),
+        ("length", ctypes.c_int64),
+        ("order", ctypes.c_void_p),
+        ("exec", ctypes.c_void_p),
+        ("price", ctypes.c_void_p),
+        ("rem_after", ctypes.c_void_p),
+        ("undo", ctypes.c_void_p),
+        ("wealth_rows", ctypes.c_void_p),
+        ("n_wealth", ctypes.c_int64),
+        ("prefix", ctypes.c_int64),
+        ("undone", ctypes.c_int64),
+        ("executed", ctypes.c_int64),
+        ("executed_count", ctypes.c_int64),
+        ("consistent", ctypes.c_int64),
+        ("final_price", ctypes.c_double),
+        ("wealth", ctypes.c_void_p),
+    ]
 
 
 def _compile() -> ctypes.CDLL:
@@ -76,14 +124,18 @@ def _compile() -> ctypes.CDLL:
         raise KernelUnavailableError(
             f"compiling or loading {_SOURCE.name} with {compiler!r} failed: {exc}"
         ) from None
-    fn = lib.parole_batch_replay
-    fn.restype = ctypes.c_int64
-    fn.argtypes = (
-        [ctypes.c_int64] * 3          # length, k, n_rows
-        + [ctypes.c_void_p] * 11      # orders .. table
-        + [ctypes.c_double] * 2       # max_supply_f, initial_price
-        + [ctypes.c_int64] * 4        # max_supply, strict, charge, pool_row
-        + [ctypes.c_void_p] * 6       # bal, inv, rem, exec, price, rem_mat
+    batch = lib.parole_batch_replay
+    batch.restype = ctypes.c_int64
+    batch.argtypes = (
+        [ctypes.c_void_p]             # tables
+        + [ctypes.c_int64] * 2        # length, k
+        + [ctypes.c_void_p] * 7       # orders, bal, inv, rem, exec, price, rem_mat
+    )
+    resume = lib.parole_resume
+    resume.restype = ctypes.c_int64
+    resume.argtypes = (
+        [ctypes.c_void_p] * 3         # tables, cursor, order
+        + [ctypes.c_int64]            # length
     )
     return lib
 
@@ -102,8 +154,8 @@ def load_kernel() -> Optional[ctypes.CDLL]:
         except KernelUnavailableError as exc:
             _failure = exc
             warnings.warn(
-                f"batch replay C kernel unavailable: {exc}; population "
-                "scoring falls back to the K=1 IncrementalOVM path",
+                f"replay C kernel unavailable: {exc}; orderings are "
+                "scored by from-scratch OVM.replay instead",
                 RuntimeWarning,
                 stacklevel=2,
             )
@@ -115,7 +167,7 @@ def require_kernel() -> ctypes.CDLL:
     kernel = load_kernel()
     if kernel is None:
         raise KernelUnavailableError(
-            f"batch replay C kernel unavailable: {_failure}"
+            f"replay C kernel unavailable: {_failure}"
         )
     return kernel
 

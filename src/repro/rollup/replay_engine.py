@@ -1,39 +1,36 @@
-"""Incremental replay acceleration for candidate-order scoring.
+"""Replay acceleration for candidate-order scoring.
 
 Every GENTRANSEQ step (Eq. 8) scores a candidate ordering by replaying it
 through the OVM.  A from-scratch replay costs O(N) state transitions even
 though a pairwise swap ``(i, j)`` only perturbs the suffix starting at
-``min(i, j)`` — the prefix executes identically.  This module exploits
-that:
+``min(i, j)`` — the prefix executes identically.  Both engines here run
+the compiled step of ``_batch_replay.c`` (loaded by :mod:`.ckernel`)
+over the same role tables (:class:`_RoleTables`):
 
-* :class:`IncrementalOVM` keeps one working state (plain balance and
-  inventory dicts plus O(1) supply/consistency counters) and a per-step
-  **copy-on-write undo log**: before a step mutates a balance or
-  inventory entry, the prior value (or its absence) is recorded.  A new
-  order that shares a k-step prefix with the last one is evaluated by
-  undoing the suffix back to position k and executing only the new
-  suffix.  Undo restores the exact stored floats, so incremental replays
-  are bit-identical to :meth:`~.ovm.OVM.replay` — a property test
-  (``tests/rollup/test_replay_engine.py``) enforces this for both
-  execution modes, with and without fee charging.  Indices outside the
-  collection raise ``IndexError`` before any state changes.
-* The per-step record is **columnar** (parallel lists of executed flags,
-  validities, prices and remaining supplies) rather than per-step trace
-  objects: the solver hot path (:meth:`IncrementalOVM.evaluate`) never
-  allocates a ``TraceStep``/``StepResult``/``L2State``.  The
-  object-shaped :meth:`IncrementalOVM.replay_order` materialises a full
-  :class:`~.ovm.ReplayTrace` from the same columns for callers that want
-  one.
+* :class:`IncrementalOVM` scores **one ordering per call** through the
+  kernel's prefix-resume entry point: the kernel keeps one working state
+  and a per-position undo record, rewinds to the prefix the new order
+  shares with the previous one and executes only the new suffix.  The
+  per-step record is **columnar** (executed flags, prices, remaining
+  supplies), so the solver hot path never allocates a
+  ``TraceStep``/``StepResult``/``L2State``.  Indices outside the
+  collection raise ``IndexError`` before any state changes.  Without the
+  kernel, each ordering is scored by a from-scratch ``OVM.replay`` — the
+  oracle itself.
 * :class:`BatchReplayEngine` scores **K candidate orderings per call**
-  (:meth:`~BatchReplayEngine.evaluate_many`) through the compiled C step
-  loop (:mod:`.ckernel`) on columnar state — one balance and one
-  inventory block per candidate, a per-candidate supply vector and
+  (:meth:`~BatchReplayEngine.evaluate_many`) through the kernel's
+  lockstep entry point on columnar state — one balance and one inventory
+  block per candidate, a per-candidate supply vector and
   executed/price/supply matrices — so population-style solvers amortise
-  the Python interpreter over whole candidate sets.  Results are
-  bit-identical to ``OVM.replay`` of each order (same IEEE-754
-  operations in the same order; ``tests/rollup/test_batch_replay.py``
-  enforces it).  Without the kernel the engine cannot be built, and
-  ``ReorderEnv.evaluate_orders`` scores through :class:`IncrementalOVM`.
+  the Python interpreter over whole candidate sets.  Without the kernel
+  the engine cannot be built, and ``ReorderEnv.evaluate_orders`` scores
+  through :class:`IncrementalOVM`.
+
+Both are bit-identical to :meth:`~.ovm.OVM.replay` of each order (same
+IEEE-754 operations in the same order); ``tests/rollup/test_replay_engine.py``
+and ``tests/rollup/test_batch_replay.py`` enforce it in both execution
+modes, with and without fee charging.
+
 * :class:`PermutationCache` memoises full evaluations by order tuple —
   DQN ε-greedy rollouts, hill climbing and annealing revisit permutations
   constantly.  It is the **single authoritative evaluation cache**: the
@@ -47,27 +44,22 @@ that:
 
 from __future__ import annotations
 
+import ctypes
+from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..telemetry import get_metrics, span
-from ..tokens import TxValidity
-from .ckernel import require_kernel
-from .ovm import ReplayTrace, TraceStep
-from .state import CountingInventory, ExecutionMode, L2State, StepResult
+from ..tokens import ScarcityPricing
+from .ckernel import Cursor, Tables, load_kernel, require_kernel
+from .ovm import OVM
+from .state import ExecutionMode, L2State
 from .transaction import NFTTransaction, TxKind
-
-#: Sentinel marking "key was absent before this step" in the undo log, so
-#: undo deletes the entry instead of leaving a spurious zero behind
-#: (state roots hash every entry, absent and zero-valued differ).
-_MISSING = object()
-
-#: One undo entry: (is_inventory, key, prior value or ``_MISSING``).
-_UndoEntry = Tuple[bool, str, Any]
 
 
 @dataclass
@@ -203,15 +195,136 @@ class EvalSummary:
         self.wealth = wealth
 
 
+@lru_cache(maxsize=8)
+def _price_table(
+    max_supply: int, initial_price_eth: float
+) -> Tuple[Optional[np.ndarray], Optional[int]]:
+    """The Eq. 10 price table as float64 and its address, or ``None``s
+    above the table limit.
+
+    Built once per distinct ``(max_supply, initial_price_eth)`` and shared
+    (read-only) by every engine over such a collection; keying on the
+    values keeps the cache bounded however many states are built.
+    """
+    table = ScarcityPricing(max_supply, initial_price_eth).table()
+    if table is None:
+        return None, None
+    prices = np.array(table, dtype=np.float64)
+    prices.flags.writeable = False
+    return prices, prices.ctypes.data
+
+
+def _address(buffer: array) -> int:
+    return buffer.buffer_info()[0]
+
+
+class _RoleTables:
+    """One pre-state and transaction collection, compiled for the kernel.
+
+    Rows are laid out only for the users a replay can touch or report —
+    transaction participants, the fee pool and the wealth users — then
+    three dummy rows the kind-agnostic step scatters through: the payer
+    dummy holds ``+inf`` so "no payment required" never fails the balance
+    check, the owner dummy keeps mints owner-valid under strict checks,
+    and the sink absorbs dead writes.  Every other user's inventory never
+    changes during a replay, so a negative one among them is folded into
+    :attr:`negative_elsewhere`.
+
+    Each transaction compiles to one row of :attr:`roles`: the rows it
+    debits by the price (payer), credits by it (payee), takes a token
+    from (also the strict ownership row) and gives one to, the row its
+    fee is charged to, its supply delta and its mint/burn flags.  Engines
+    are built on every environment's hot path, so the tables are plain
+    :class:`array.array` buffers, which hand the kernel their addresses
+    for free.
+    """
+
+    #: Inventory level granted to the owner-check dummy row so strict
+    #: ownership checks always pass for kinds that have none (mints).
+    OWNER_OK = 1 << 30
+
+    def __init__(
+        self,
+        pre_state: L2State,
+        transactions: Sequence[NFTTransaction],
+        mode: Optional[ExecutionMode],
+        wealth_users: Sequence[str],
+    ) -> None:
+        rows: Dict[str, int] = {}
+        for tx in transactions:
+            rows.setdefault(tx.sender, len(rows))
+            if tx.recipient is not None:
+                rows.setdefault(tx.recipient, len(rows))
+        rows.setdefault(L2State.FEE_POOL, len(rows))
+        for user in wealth_users:
+            rows.setdefault(user, len(rows))
+        self.n_real = len(rows)
+        pay_dummy = self.n_real
+        own_dummy = self.n_real + 1
+        sink = self.n_real + 2
+        self.n_rows = self.n_real + 3
+
+        balances, inventory = pre_state.balances, pre_state.inventory
+        held = [inventory.get(user, 0) for user in rows]
+        self.base_balances = array(
+            "d", [balances.get(user, 0.0) for user in rows]
+        )
+        self.base_balances.extend((np.inf, 0.0, 0.0))
+        self.base_inventory = array("q", held)
+        self.base_inventory.extend((0, self.OWNER_OK, 0))
+        self.negative_elsewhere = inventory.negative_count > sum(
+            1 for count in held if count < 0
+        )
+        config = pre_state.nft_config
+        self.max_supply = config.max_supply
+        #: Remaining supply of the pre-state (Eq. 10's ``S``).
+        self.remaining = config.max_supply - pre_state.minted_count
+        self.pool_row = rows[L2State.FEE_POOL]
+        self.wealth_rows = array("q", [rows[user] for user in wealth_users])
+
+        roles: List[int] = []
+        for tx in transactions:
+            sender = rows[tx.sender]
+            kind = tx.kind
+            if kind is TxKind.MINT:
+                # Decrement the owner dummy rather than the sink: the
+                # strict ownership check reads that row.
+                roles += (sender, sink, own_dummy, sender, sender, 1, 1, 0)
+            elif kind is TxKind.TRANSFER:
+                recipient = rows[tx.recipient]
+                roles += (recipient, sender, sender, recipient, sender, 0, 0, 0)
+            else:  # BURN
+                roles += (pay_dummy, sink, sender, sink, sender, -1, 0, 1)
+        self.roles = array("q", roles)
+        self.fees = array("d", [tx.total_fee for tx in transactions])
+        self.table, table_address = _price_table(
+            config.max_supply, config.initial_price_eth
+        )
+        mode = mode if mode is not None else pre_state.mode
+        self.struct = Tables(
+            roles=_address(self.roles),
+            fees=_address(self.fees),
+            table=table_address,
+            initial_price=config.initial_price_eth,
+            max_supply=config.max_supply,
+            strict=int(mode is ExecutionMode.STRICT),
+            charge=int(pre_state.charge_fees),
+            pool_row=self.pool_row,
+            n_tx=len(transactions),
+            n_rows=self.n_rows,
+            n_real=self.n_real,
+        )
+        self.address = ctypes.addressof(self.struct)
+
+
 class IncrementalOVM:
     """OVM replays over permutations of one fixed transaction collection.
 
     Bound to a pre-state and the N collected transactions;
-    :meth:`evaluate` scores any index sequence into that collection,
-    reusing the longest prefix shared with the previously evaluated
-    order.  Behaviour (per-step results, final wealth, final state) is
-    identical to ``OVM().replay`` on the materialised sequence — see
-    :meth:`replay_order` for the trace-shaped view.
+    :meth:`evaluate` scores any index sequence into that collection —
+    any length, repeats allowed — resuming from the longest prefix
+    shared with the previously evaluated order.  Results are identical
+    to ``OVM(mode).replay`` on the materialised sequence.
     """
 
     def __init__(
@@ -229,39 +342,30 @@ class IncrementalOVM:
         #: Users whose *final* wealth :meth:`evaluate` reports (the
         #: environment passes its IFUs).
         self.wealth_users = tuple(wealth_users)
-        self._mode = mode if mode is not None else pre_state.mode
-        self._strict = self._mode is ExecutionMode.STRICT
-        self._charge = pre_state.charge_fees
-        self._max_supply = pre_state.nft_config.max_supply
-        self._pricing = pre_state.pricing
-        self._price_table = self._pricing.table()
-        #: Per-transaction constants, pre-resolved so the hot loop does a
-        #: single tuple unpack instead of four attribute reads.
-        self._meta = tuple(
-            (
-                0 if tx.kind is TxKind.MINT else (1 if tx.kind is TxKind.TRANSFER else 2),
-                tx.sender,
-                tx.recipient,
-                tx.total_fee,
-            )
-            for tx in self.transactions
+        self._fresh = True
+        kernel = load_kernel()
+        self._cursor: Optional[Cursor] = None
+        if kernel is None:
+            return
+        self._resume = kernel.parole_resume
+        self._tables = tables = _RoleTables(
+            pre_state, self.transactions, mode, self.wealth_users
         )
-        self._balances: Optional[Dict[str, float]] = None
-        self._inventory: Dict[str, int] = {}
-        self._total = 0
-        self._neg = 0
-        #: Indices actually applied, kept exactly in sync with the
-        #: columns below (even when a step raises mid-replay).
-        self._order: List[int] = []
-        self._c_exec: List[bool] = []
-        self._c_validity: List[TxValidity] = []
-        self._c_price: List[float] = []
-        self._c_remaining: List[int] = []
-        self._undos: List[Tuple[_UndoEntry, ...]] = []
-
-    # ------------------------------------------------------------------ #
-    # Public API
-    # ------------------------------------------------------------------ #
+        self._bal = array("d", tables.base_balances)
+        self._inv = array("q", tables.base_inventory)
+        self._wealth = array("d", bytes(8 * len(self.wealth_users)))
+        self._cursor = Cursor(
+            bal=_address(self._bal),
+            inv=_address(self._inv),
+            rem0=tables.remaining,
+            rem=tables.remaining,
+            wealth_rows=_address(tables.wealth_rows),
+            n_wealth=len(self.wealth_users),
+            wealth=_address(self._wealth),
+        )
+        self._cursor_address = ctypes.addressof(self._cursor)
+        self._capacity = 0
+        self._allocate(max(len(self.transactions), 1))
 
     def evaluate(self, order: Sequence[int]) -> EvalSummary:
         """Score the permutation ``order`` on the allocation-light path.
@@ -269,328 +373,113 @@ class IncrementalOVM:
         Resumes from the longest prefix shared with the previous
         evaluation and returns an :class:`EvalSummary` — no trace
         objects, no state snapshot.  This is the solver/DQN hot path.
+        A burn past the global supply raises the ``TokenError`` of
+        ``OVM.replay``; the engine stays at the valid prefix before it.
         """
         order = tuple(order)
-        self._advance(order)
-        total = self._total
-        table = self._price_table
-        remaining = self._max_supply - total
-        final_price = (
-            table[remaining] if table is not None else self._pricing.price(remaining)
+        cursor = self._cursor
+        if cursor is None:
+            return self._replay(order)
+        length = len(order)
+        if length > self._capacity:
+            self._allocate(length)
+        indices = array("q", order)  # alive until the call returns
+        status = self._resume(
+            self._tables.address, self._cursor_address, _address(indices), length
         )
-        bget = self._balances.get
-        iget = self._inventory.get
-        executed = self._c_exec
+        if status == -2:
+            raise IndexError("order index outside the bound collection")
+        self._count(cursor.prefix, cursor.undone, cursor.executed)
+        if status >= 0:
+            # The Eq. 10 read one past max supply: OVM.replay's TokenError.
+            self.pre_state.pricing.price(cursor.rem + 1)
         return EvalSummary(
             order=order,
-            executed=executed[:],
-            prices_before=self._c_price[:],
-            remaining_after=self._c_remaining[:],
-            final_price=final_price,
-            consistent=self._neg == 0,
-            executed_count=sum(executed),
-            wealth={
-                user: bget(user, 0.0) + iget(user, 0) * final_price
-                for user in self.wealth_users
-            },
+            executed=self._exec[:length].tolist(),
+            prices_before=self._price[:length].tolist(),
+            remaining_after=self._rem_after[:length].tolist(),
+            final_price=cursor.final_price,
+            consistent=bool(cursor.consistent)
+            and not self._tables.negative_elsewhere,
+            executed_count=cursor.executed_count,
+            wealth=dict(zip(self.wealth_users, self._wealth.tolist())),
         )
 
-    def replay_order(self, order: Sequence[int]) -> ReplayTrace:
-        """Replay ``order`` and materialise a full :class:`ReplayTrace`.
-
-        Orders may be any length (prefix evaluation works); each index
-        must be within the collection.  The returned trace owns an
-        independent snapshot of the final state, so it stays valid after
-        further evaluations.  Per-step results are bit-identical to
-        ``OVM().replay`` on the materialised sequence.
-        """
-        order = tuple(order)
-        self._advance(order)
-        table = self._price_table
-        price = self._pricing.price
-        transactions = self.transactions
-        steps: List[TraceStep] = []
-        rows = zip(
-            self._order, self._c_exec, self._c_validity, self._c_price, self._c_remaining
-        )
-        for position, (tx_index, executed, validity, before, remaining) in enumerate(rows):
-            # Skipped steps leave the supply unchanged, so the price at
-            # ``remaining`` equals ``before`` and this holds for both.
-            after = table[remaining] if table is not None else price(remaining)
-            steps.append(
-                TraceStep(
-                    index=position,
-                    tx=transactions[tx_index],
-                    result=StepResult(
-                        executed=executed,
-                        validity=validity,
-                        price_before=before,
-                        price_after=after,
-                        remaining_supply=remaining,
-                    ),
-                    watched_wealth=(),
-                )
-            )
-        return ReplayTrace(steps=steps, final_state=self._snapshot(), watched_users=())
-
-    def reset(self) -> None:
-        """Drop the cached working state; next replay starts from scratch."""
-        self._balances = None
-        self._inventory = {}
-        self._total = 0
-        self._neg = 0
-        self._order = []
-        self._c_exec = []
-        self._c_validity = []
-        self._c_price = []
-        self._c_remaining = []
-        self._undos = []
-
-    # ------------------------------------------------------------------ #
-    # Internals
-    # ------------------------------------------------------------------ #
-
-    def _advance(self, order: Tuple[int, ...]) -> None:
-        """Bring the working state to ``order`` (rewind + run suffix).
-
-        The new suffix's indices are range-checked once, before anything
-        changes (the shared prefix was checked when it was applied), so
-        a rejected order leaves the engine exactly where it was.
-        """
-        fresh = self._balances is None
-        prefix = 0 if fresh else self._common_prefix(order)
-        if prefix < len(order):
-            suffix = order[prefix:] if prefix else order
-            if min(suffix) < 0 or max(suffix) >= len(self._meta):
-                raise IndexError("order index outside the bound collection")
-        if fresh:
-            pre = self.pre_state
-            self._balances = dict(pre.balances)
-            self._inventory = dict(pre.inventory)
-            self._total = sum(self._inventory.values())
-            self._neg = sum(1 for held in self._inventory.values() if held < 0)
-            self.stats.scratch_replays += 1
+    def _count(self, prefix: int, undone: int, executed: int) -> None:
+        """Record one replay: the first starts from the pre-state, every
+        later one resumes at ``prefix`` (0 when nothing is shared)."""
+        stats = self.stats
+        if self._fresh:
+            self._fresh = False
+            stats.scratch_replays += 1
         else:
-            self.stats.incremental_replays += 1
-            self.stats.resume_depth_total += prefix
-        self._rewind_to(prefix)
-        self.stats.steps_reused += prefix
-        if prefix < len(order):
-            self._run_suffix(order, prefix)
+            stats.incremental_replays += 1
+            stats.resume_depth_total += prefix
+        stats.steps_reused += prefix
+        stats.steps_undone += undone
+        stats.steps_executed += executed
 
-    def _common_prefix(self, order: Tuple[int, ...]) -> int:
-        current = self._order
-        limit = min(len(current), len(order))
-        prefix = 0
-        while prefix < limit and current[prefix] == order[prefix]:
-            prefix += 1
-        return prefix
+    def _allocate(self, capacity: int) -> None:
+        """(Re)size the per-position buffers, keeping the applied prefix.
 
-    def _rewind_to(self, prefix: int) -> None:
-        applied = self._order
-        if len(applied) <= prefix:
-            return
-        balances = self._balances
-        inventory = self._inventory
-        total = self._total
-        neg = self._neg
-        undos = self._undos
-        c_exec, c_validity = self._c_exec, self._c_validity
-        c_price, c_remaining = self._c_price, self._c_remaining
-        undone = 0
-        while len(applied) > prefix:
-            applied.pop()
-            c_exec.pop()
-            c_validity.pop()
-            c_price.pop()
-            c_remaining.pop()
-            for is_inventory, key, prior in reversed(undos.pop()):
-                if is_inventory:
-                    current = inventory[key]
-                    total -= current
-                    if current < 0:
-                        neg -= 1
-                    if prior is _MISSING:
-                        del inventory[key]
-                    else:
-                        inventory[key] = prior
-                        total += prior
-                        if prior < 0:
-                            neg += 1
-                elif prior is _MISSING:
-                    del balances[key]
-                else:
-                    balances[key] = prior
-            undone += 1
-        self._total = total
-        self._neg = neg
-        self.stats.steps_undone += undone
-
-    def _run_suffix(self, order: Tuple[int, ...], start: int) -> None:
-        """Execute ``order[start:]`` against the working state.
-
-        The OVM transition (``L2State.check`` + ``L2State.apply``) is
-        inlined over plain dicts: the per-step cost is what makes or
-        breaks solver throughput, and attribute lookups, ``StepResult``
-        allocation and the double validity check are all measurable at
-        this call rate.  The differential property test keeps this loop
-        honest against the readable reference implementation.
-
-        If a step raises (a burn pushing global supply above max poisons
-        Eq. 10, exactly as in a scratch replay), the failing step leaves
-        no mutation behind and every column stays consistent, so the
-        engine remains usable.
+        ``_exec``, ``_price`` and ``_rem_after`` are memoryviews (bool,
+        float64, int64) whose slices list the summary columns.
         """
-        meta = self._meta
-        balances = self._balances
-        inventory = self._inventory
-        total = self._total
-        neg = self._neg
-        max_supply = self._max_supply
-        table = self._price_table
-        price_of = self._pricing.price
-        strict = self._strict
-        charge = self._charge
-        fee_pool = L2State.FEE_POOL
-        missing = _MISSING
-        bget = balances.get
-        iget = inventory.get
-        order_append = self._order.append
-        exec_append = self._c_exec.append
-        validity_append = self._c_validity.append
-        price_append = self._c_price.append
-        remaining_append = self._c_remaining.append
-        undo_append = self._undos.append
-        valid = TxValidity.VALID
-        supply_exhausted = TxValidity.SUPPLY_EXHAUSTED
-        insufficient = TxValidity.INSUFFICIENT_BALANCE
-        not_owner = TxValidity.NOT_OWNER
-        try:
-            for position in range(start, len(order)):
-                tx_index = order[position]
-                kind, sender, recipient, fee = meta[tx_index]
-                remaining = max_supply - total
-                price = table[remaining] if table is not None else price_of(remaining)
-                if kind == 0:  # MINT — Eq. 2
-                    prior_bal = bget(sender, missing)
-                    balance = 0.0 if prior_bal is missing else prior_bal
-                    if remaining < 1:
-                        validity = supply_exhausted
-                    elif balance < price:
-                        validity = insufficient
-                    else:
-                        validity = valid
-                        balances[sender] = balance - price
-                        prior_held = iget(sender, missing)
-                        held = (0 if prior_held is missing else prior_held) + 1
-                        inventory[sender] = held
-                        total += 1
-                        if prior_held is not missing and prior_held < 0:
-                            neg -= 1
-                        if held < 0:
-                            neg += 1
-                        undo = ((False, sender, prior_bal), (True, sender, prior_held))
-                elif kind == 1:  # TRANSFER — Eq. 4
-                    if strict and iget(sender, 0) < 1:
-                        validity = not_owner
-                    else:
-                        prior_buyer = bget(recipient, missing)
-                        buyer = 0.0 if prior_buyer is missing else prior_buyer
-                        if buyer < price:
-                            validity = insufficient
-                        else:
-                            validity = valid
-                            balances[recipient] = buyer - price
-                            prior_seller = bget(sender, missing)
-                            balances[sender] = (
-                                0.0 if prior_seller is missing else prior_seller
-                            ) + price
-                            prior_sold = iget(sender, missing)
-                            sold = (0 if prior_sold is missing else prior_sold) - 1
-                            inventory[sender] = sold
-                            if prior_sold is not missing and prior_sold < 0:
-                                neg -= 1
-                            if sold < 0:
-                                neg += 1
-                            prior_bought = iget(recipient, missing)
-                            bought = (0 if prior_bought is missing else prior_bought) + 1
-                            inventory[recipient] = bought
-                            if prior_bought is not missing and prior_bought < 0:
-                                neg -= 1
-                            if bought < 0:
-                                neg += 1
-                            undo = (
-                                (False, recipient, prior_buyer),
-                                (False, sender, prior_seller),
-                                (True, sender, prior_sold),
-                                (True, recipient, prior_bought),
-                            )
-                else:  # BURN — Eq. 6
-                    if strict and iget(sender, 0) < 1:
-                        validity = not_owner
-                    else:
-                        if total < 1:
-                            # Burning past the global supply poisons the
-                            # Eq. 10 price; raise the same TokenError a
-                            # scratch replay's price read would, without
-                            # committing the step.
-                            price_of(max_supply - total + 1)
-                        validity = valid
-                        prior_burned = iget(sender, missing)
-                        burned = (0 if prior_burned is missing else prior_burned) - 1
-                        inventory[sender] = burned
-                        total -= 1
-                        if prior_burned is not missing and prior_burned < 0:
-                            neg -= 1
-                        if burned < 0:
-                            neg += 1
-                        undo = ((True, sender, prior_burned),)
-                if validity is valid:
-                    if charge:
-                        prior_payer = bget(sender, missing)
-                        balances[sender] = (
-                            0.0 if prior_payer is missing else prior_payer
-                        ) - fee
-                        prior_pool = bget(fee_pool, missing)
-                        balances[fee_pool] = (
-                            0.0 if prior_pool is missing else prior_pool
-                        ) + fee
-                        undo += ((False, sender, prior_payer), (False, fee_pool, prior_pool))
-                    remaining = max_supply - total
-                    exec_append(True)
-                    undo_append(undo)
-                else:
-                    exec_append(False)
-                    undo_append(())
-                validity_append(validity)
-                price_append(price)
-                remaining_append(remaining)
-                order_append(tx_index)
-        finally:
-            self._total = total
-            self._neg = neg
-            self.stats.steps_executed += len(self._order) - start
+        cursor = self._cursor
+        kept = cursor.length
+        buffers = {}
+        for name, code, size in (
+            ("order", "q", 8),
+            ("exec", "B", 1),
+            ("price", "d", 8),
+            ("rem_after", "q", 8),
+            ("undo", "d", 32),  # four prior balance cells per position
+        ):
+            fresh = array(code, bytes(capacity * size))
+            if self._capacity:
+                used = kept * size // fresh.itemsize
+                fresh[:used] = self._buffers[name][:used]
+            buffers[name] = fresh
+            setattr(cursor, name, _address(fresh))
+        self._buffers = buffers
+        self._exec = memoryview(buffers["exec"]).cast("?")
+        self._price = memoryview(buffers["price"])
+        self._rem_after = memoryview(buffers["rem_after"])
+        self._capacity = capacity
 
-    def _snapshot(self) -> L2State:
-        """Independent :class:`L2State` view of the working state."""
-        state = L2State.__new__(L2State)
-        state.nft_config = self.pre_state.nft_config
-        state.pricing = self._pricing
-        state.balances = dict(self._balances)
-        state.inventory = CountingInventory(self._inventory)
-        state._price_memo = (None, 0.0)
-        state.mode = self._mode
-        state.charge_fees = self._charge
-        return state
+    def _replay(self, order: Tuple[int, ...]) -> EvalSummary:
+        """The summary of ``order`` from a from-scratch ``OVM.replay``.
+
+        Counted as the kernel path counts a replay that shares no prefix.
+        """
+        if order and (min(order) < 0 or max(order) >= len(self.transactions)):
+            raise IndexError("order index outside the bound collection")
+        trace = OVM(self.mode).replay(
+            self.pre_state, [self.transactions[i] for i in order]
+        )
+        self._count(0, 0, len(order))
+        final = trace.final_state
+        return EvalSummary(
+            order=order,
+            executed=[step.executed for step in trace.steps],
+            prices_before=[step.result.price_before for step in trace.steps],
+            remaining_after=[
+                step.result.remaining_supply for step in trace.steps
+            ],
+            final_price=final.unit_price,
+            consistent=trace.consistent(),
+            executed_count=trace.executed_count,
+            wealth={user: final.wealth(user) for user in self.wealth_users},
+        )
 
 
 class BatchReplayEngine:
     """Columnar replay of K candidate orderings per call.
 
     Bound, like :class:`IncrementalOVM`, to one pre-state and one fixed
-    transaction collection.  :meth:`evaluate_many` replays every
-    candidate through the compiled C step loop (``_batch_replay.c``,
-    loaded by :mod:`.ckernel`) on column-major state (cell
+    transaction collection, compiled to the same :class:`_RoleTables`.
+    :meth:`evaluate_many` replays every candidate through the kernel's
+    lockstep entry point on column-major state (cell
     ``candidate * rows + row`` — each candidate owns one contiguous
     state block):
 
@@ -599,13 +488,6 @@ class BatchReplayEngine:
     * ``remaining`` — ``(K,)`` live supply counters (Eq. 10);
     * executed / price / remaining matrices — ``(L, K)``, one row per
       position, exactly the serial engine's per-step columns.
-
-    The kernel's step is kind-agnostic: each transaction is pre-compiled
-    to *payer / payee / inventory-increment / inventory-decrement / fee*
-    row indices (dummy rows absorb the roles a kind doesn't have — the
-    payer dummy holds ``+inf`` so "no payment required" never fails the
-    balance check, the owner dummy keeps mints owner-valid, the sink row
-    absorbs dead writes and is excluded from the consistency scan).
 
     Bit-identity with ``OVM.replay`` is a hard contract: the kernel is
     built with ``-ffp-contract=off`` so every FLOP stays a plain
@@ -626,10 +508,6 @@ class BatchReplayEngine:
     memoised evaluations (see ``ReorderEnv.evaluate_orders``).
     """
 
-    #: Inventory level granted to the owner-check dummy row so strict
-    #: ownership checks always pass for kinds that have none (mints).
-    _OWNER_OK = 1 << 30
-
     def __init__(
         self,
         pre_state: L2State,
@@ -643,93 +521,9 @@ class BatchReplayEngine:
         self.transactions = tuple(transactions)
         self.stats = stats if stats is not None else ReplayEngineStats()
         self.wealth_users = tuple(wealth_users)
-        self._mode = mode if mode is not None else pre_state.mode
-        self._strict = self._mode is ExecutionMode.STRICT
-        self._charge = pre_state.charge_fees
-        self._max_supply = pre_state.nft_config.max_supply
-        self._pricing = pre_state.pricing
-        table = self._pricing.table()
-        self._table = (
-            np.asarray(table, dtype=np.float64) if table is not None else None
+        self._tables = _RoleTables(
+            pre_state, self.transactions, mode, self.wealth_users
         )
-        self._initial_price = pre_state.nft_config.initial_price_eth
-
-        # ---- user-row layout ------------------------------------------- #
-        # Real users first (balances, inventory, tx participants, wealth
-        # users), then the three dummy rows the kind-agnostic step loop
-        # scatters through.
-        rows: Dict[str, int] = {}
-        for user in pre_state.balances:
-            rows.setdefault(user, len(rows))
-        for user in pre_state.inventory:
-            rows.setdefault(user, len(rows))
-        for tx in self.transactions:
-            rows.setdefault(tx.sender, len(rows))
-            if tx.recipient is not None:
-                rows.setdefault(tx.recipient, len(rows))
-        rows.setdefault(L2State.FEE_POOL, len(rows))
-        for user in self.wealth_users:
-            rows.setdefault(user, len(rows))
-        self._n_real = len(rows)
-        self._pay_dummy = self._n_real        # +inf balance: payment always ok
-        self._own_dummy = self._n_real + 1    # huge inventory: ownership always ok
-        self._sink = self._n_real + 2         # absorbs dead writes, never read
-        self._n_rows = self._n_real + 3
-        self._pool_row = rows[L2State.FEE_POOL]
-        self._wealth_rows = np.asarray(
-            [rows[user] for user in self.wealth_users], dtype=np.intp
-        )
-
-        # ---- pre-state columns ----------------------------------------- #
-        self._base_balances = np.zeros(self._n_rows, dtype=np.float64)
-        for user, value in pre_state.balances.items():
-            self._base_balances[rows[user]] = value
-        self._base_balances[self._pay_dummy] = np.inf
-        self._base_inventory = np.zeros(self._n_rows, dtype=np.int64)
-        for user, held in pre_state.inventory.items():
-            self._base_inventory[rows[user]] = held
-        self._base_inventory[self._own_dummy] = self._OWNER_OK
-        self._initial_total = int(sum(pre_state.inventory.values()))
-
-        # ---- per-transaction role compilation -------------------------- #
-        n = len(self.transactions)
-        self._pay_row = np.empty(n, dtype=np.intp)   # debited by `price`
-        self._recv_row = np.empty(n, dtype=np.intp)  # credited by `price`
-        self._inc_row = np.empty(n, dtype=np.intp)   # inventory + 1
-        self._dec_row = np.empty(n, dtype=np.intp)   # inventory - 1, ownership
-        self._fee_row = np.empty(n, dtype=np.intp)   # debited by `total_fee`
-        self._is_mint = np.zeros(n, dtype=bool)
-        self._is_burn = np.zeros(n, dtype=bool)
-        self._dsupply = np.zeros(n, dtype=np.int64)
-        self._fees = np.empty(n, dtype=np.float64)
-        for i, tx in enumerate(self.transactions):
-            sender = rows[tx.sender]
-            self._fee_row[i] = sender
-            self._fees[i] = tx.total_fee
-            if tx.kind is TxKind.MINT:
-                self._is_mint[i] = True
-                self._pay_row[i] = sender
-                self._recv_row[i] = self._sink
-                self._inc_row[i] = sender
-                # Decrement the owner dummy rather than the sink: the
-                # strict ownership check reads the dec row, and the
-                # dummy's huge stock keeps mints owner-valid for any
-                # batch horizon.
-                self._dec_row[i] = self._own_dummy
-                self._dsupply[i] = 1
-            elif tx.kind is TxKind.TRANSFER:
-                recipient = rows[tx.recipient]
-                self._pay_row[i] = recipient
-                self._recv_row[i] = sender
-                self._inc_row[i] = recipient
-                self._dec_row[i] = sender
-            else:  # BURN
-                self._is_burn[i] = True
-                self._pay_row[i] = self._pay_dummy
-                self._recv_row[i] = self._sink
-                self._inc_row[i] = self._sink
-                self._dec_row[i] = sender
-                self._dsupply[i] = -1
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -771,12 +565,17 @@ class BatchReplayEngine:
         """Eq. 10 prices for a vector of remaining supplies.
 
         Table indexing when the supply is table-sized, else the closed
-        form with the serial engine's exact operation order
+        form with the kernel's exact operation order
         (``max_supply / max(S, 1) * P0``).
         """
-        if self._table is not None:
-            return self._table[remaining]
-        return self._max_supply / np.maximum(remaining, 1) * self._initial_price
+        tables = self._tables
+        if tables.table is not None:
+            return tables.table[remaining]
+        return (
+            tables.max_supply
+            / np.maximum(remaining, 1)
+            * self.pre_state.nft_config.initial_price_eth
+        )
 
     def _replay(self, keys: List[Tuple[int, ...]], length: int) -> List[EvalSummary]:
         """Run one group of equal-length orders through the kernel."""
@@ -789,35 +588,18 @@ class BatchReplayEngine:
             flat.min() < 0 or flat.max() >= len(self.transactions)
         ):
             raise IndexError("order index outside the bound collection")
-        max_supply = self._max_supply
-        bal = np.tile(self._base_balances, k)
-        inv = np.tile(self._base_inventory, k)
-        rem = np.full(k, max_supply - self._initial_total, dtype=np.int64)
-        exec_mat = np.empty((length, k), dtype=np.uint8)
+        tables = self._tables
+        bal = np.tile(tables.base_balances, k)
+        inv = np.tile(tables.base_inventory, k)
+        rem = np.full(k, tables.remaining, dtype=np.int64)
+        exec_mat = np.empty((length, k), dtype=np.bool_)
         price_mat = np.empty((length, k), dtype=np.float64)
         rem_mat = np.empty((length, k), dtype=np.int64)
-        table = self._table
         bad = self._ckernel.parole_batch_replay(
+            tables.address,
             length,
             k,
-            self._n_rows,
             flat.ctypes.data,
-            self._pay_row.ctypes.data,
-            self._recv_row.ctypes.data,
-            self._dec_row.ctypes.data,
-            self._inc_row.ctypes.data,
-            self._fee_row.ctypes.data,
-            self._dsupply.ctypes.data,
-            self._fees.ctypes.data,
-            self._is_mint.ctypes.data,
-            self._is_burn.ctypes.data,
-            table.ctypes.data if table is not None else None,
-            float(max_supply),
-            self._initial_price,
-            max_supply,
-            int(self._strict),
-            int(self._charge),
-            self._pool_row,
             bal.ctypes.data,
             inv.ctypes.data,
             rem.ctypes.data,
@@ -826,14 +608,11 @@ class BatchReplayEngine:
             rem_mat.ctypes.data,
         )
         if bad >= 0:
-            # Identical failure to the serial engine: the Eq. 10 read one
-            # past max supply raises TokenError (`rem[bad]` still holds
-            # the poisoned candidate's pre-step remaining supply).
-            dead = max_supply - int(rem[bad])
-            self._pricing.price(max_supply - dead + 1)
-        return self._summarise(
-            keys, exec_mat.view(bool), price_mat, rem_mat, bal, inv, rem
-        )
+            # The Eq. 10 read one past max supply: OVM.replay's TokenError
+            # (`rem[bad]` still holds the poisoned candidate's pre-step
+            # remaining supply).
+            self.pre_state.pricing.price(int(rem[bad]) + 1)
+        return self._summarise(keys, exec_mat, price_mat, rem_mat, bal, inv, rem)
 
     def _summarise(
         self,
@@ -847,14 +626,18 @@ class BatchReplayEngine:
     ) -> List[EvalSummary]:
         """One :class:`EvalSummary` per candidate from the kernel outputs."""
         k = len(keys)
+        tables = self._tables
         final_price = self._prices(rem)
-        bal_mat = bal.reshape(k, self._n_rows)
-        inv_mat = inv.reshape(k, self._n_rows)
-        consistent = (~(inv_mat[:, : self._n_real] < 0).any(axis=1)).tolist()
+        bal_mat = bal.reshape(k, tables.n_rows)
+        inv_mat = inv.reshape(k, tables.n_rows)
+        wealth_rows = np.asarray(tables.wealth_rows)
+        consistent = (~(inv_mat[:, : tables.n_real] < 0).any(axis=1)).tolist()
+        if tables.negative_elsewhere:
+            consistent = [False] * k
         executed_counts = exec_mat.sum(axis=0).tolist()
         wealth_cols = (
-            bal_mat[:, self._wealth_rows]
-            + inv_mat[:, self._wealth_rows] * final_price[:, None]
+            bal_mat[:, wealth_rows]
+            + inv_mat[:, wealth_rows] * final_price[:, None]
         ).tolist()
         exec_cols = exec_mat.T.tolist()
         price_cols = price_mat.T.tolist()

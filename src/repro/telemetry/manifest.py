@@ -93,29 +93,55 @@ def git_revision(root: Union[str, pathlib.Path, None] = None) -> Optional[str]:
     """Current git commit hash, read straight from ``.git`` (no subprocess).
 
     Walks up from ``root`` (default: this package's repository) to the
-    first ``.git`` directory; returns ``None`` when not in a checkout.
+    first ``.git``.  That is a directory in a plain checkout; in a
+    ``git worktree`` or submodule checkout it is a file whose
+    ``gitdir:`` line names the real git directory, and a ``commondir``
+    file there names the directory that holds the shared refs.  Returns
+    ``None`` when not in a checkout.
     """
     start = pathlib.Path(root) if root is not None else pathlib.Path(__file__)
     for candidate in [start] + list(start.parents):
-        git_dir = candidate / ".git"
-        if not git_dir.is_dir():
+        dot_git = candidate / ".git"
+        if not dot_git.exists():
             continue
         try:
-            head = (git_dir / "HEAD").read_text().strip()
-            if head.startswith("ref:"):
-                ref = head.split(None, 1)[1]
-                ref_path = git_dir / ref
-                if ref_path.exists():
-                    return ref_path.read_text().strip()
-                packed = git_dir / "packed-refs"
-                if packed.exists():
-                    for line in packed.read_text().splitlines():
-                        if line.endswith(ref) and not line.startswith("#"):
-                            return line.split()[0]
-                return None
-            return head
+            return _read_head(_git_dir(dot_git))
         except OSError:
             return None
+    return None
+
+
+def _git_dir(dot_git: pathlib.Path) -> pathlib.Path:
+    """The git directory a ``.git`` directory or ``gitdir:`` file names."""
+    if dot_git.is_dir():
+        return dot_git
+    pointer = dot_git.read_text().strip()
+    if not pointer.startswith("gitdir:"):
+        raise OSError(f"{dot_git} is neither a directory nor a gitdir file")
+    # A relative pointer (submodules write one) is relative to the file.
+    return dot_git.parent / pointer[len("gitdir:"):].strip()
+
+
+def _read_head(git_dir: pathlib.Path) -> Optional[str]:
+    """Resolve ``HEAD`` through a loose ref, then ``packed-refs``."""
+    head = (git_dir / "HEAD").read_text().strip()
+    if not head.startswith("ref:"):
+        return head or None
+    ref = head.split(None, 1)[1]
+    common = git_dir
+    commondir = git_dir / "commondir"
+    if commondir.exists():
+        common = git_dir / commondir.read_text().strip()
+    for directory in (git_dir, common):
+        loose = directory / ref
+        if loose.is_file():
+            return loose.read_text().strip()
+    packed = common / "packed-refs"
+    if packed.exists():
+        for line in packed.read_text().splitlines():
+            fields = line.split()
+            if len(fields) == 2 and fields[1] == ref:
+                return fields[0]
     return None
 
 

@@ -7,9 +7,10 @@ execution modes, with and without fee charging, including ragged,
 duplicate-index, infeasible and reverting candidates.
 
 The fixed cases also score through ``IncrementalOVM`` (the ``python``
-route), which ``ReorderEnv.evaluate_orders`` takes when the compiled
-kernel cannot load, so both scoring routes answer to the same oracle.
-Tests that need the kernel carry the shared ``kernel`` marker.
+route), which ``ReorderEnv.evaluate_orders`` takes for a single miss and,
+when the compiled kernel cannot load, for every miss (it then replays
+through ``OVM.replay``), so both scoring routes answer to the same
+oracle.  Tests that need the kernel carry the shared ``kernel`` marker.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from repro.rollup import (
 )
 from repro.rollup import ckernel
 from repro.solvers import ReorderProblem, SimulatedAnnealingSolver
+from repro.tokens.pricing import PRICE_TABLE_LIMIT
 from repro.workloads import generate_workload
 
 
@@ -96,7 +98,7 @@ def _pre_state(mode: ExecutionMode, charge_fees: bool) -> L2State:
 
 
 def _score(route, pre, txs, orders, **kw):
-    """Score ``orders`` on one route: the C kernel or the K=1 fallback."""
+    """Score ``orders`` on one route: the batch kernel or K=1 scoring."""
     if route == "c":
         return BatchReplayEngine(pre, txs, **kw).evaluate_many(orders)
     engine = IncrementalOVM(pre, txs, **kw)
@@ -187,6 +189,22 @@ class TestDifferentialIdentity:
         ]
         summaries = _score("c", pre, txs, orders, wealth_users=users)
         _assert_matches_oracle(summaries, pre, txs, orders, users)
+
+    def test_closed_form_prices_match(self):
+        """Above the price-table limit the kernel and the final prices
+        take Eq. 10's closed form."""
+        rng = np.random.default_rng(29)
+        txs = _random_collection(rng, 7)
+        pre = L2State(
+            NFTContractConfig(max_supply=PRICE_TABLE_LIMIT + 7),
+            balances={"ifu": 4.0, "u1": 3.0, "u2": 1.0, "u3": 0.3},
+            inventory={"ifu": 2, "u1": 1, "u2": 1},
+            mode=ExecutionMode.BATCH,
+            charge_fees=True,
+        )
+        orders = [tuple(int(x) for x in rng.permutation(7)) for _ in range(6)]
+        summaries = _score("c", pre, txs, orders, wealth_users=USERS)
+        _assert_matches_oracle(summaries, pre, txs, orders, USERS)
 
 
 class TestInfeasibleAndReverting:

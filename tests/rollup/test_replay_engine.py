@@ -1,10 +1,13 @@
 """Differential and unit tests for the incremental replay engine.
 
-The load-bearing property: :class:`IncrementalOVM` must be
+The load-bearing property: :meth:`IncrementalOVM.evaluate` must be
 *behaviour-identical* to a from-scratch ``OVM.replay`` — step for step,
 float for float — in both execution modes, with and without fee
 charging, across arbitrary evaluation orders (which exercise arbitrary
-rewind/resume depths).
+rewind/resume depths of the kernel's cursor).  Without the kernel the
+engine scores through ``OVM.replay`` itself, so these cases run on both
+routes; the tests that assert resume counters carry the ``kernel``
+marker.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import NFTContractConfig
+from repro.errors import TokenError
 from repro.rollup import (
     ExecutionMode,
     IncrementalOVM,
@@ -25,6 +29,7 @@ from repro.rollup import (
     TxKind,
 )
 from repro.rollup.state import CountingInventory
+from repro.tokens.pricing import PRICE_TABLE_LIMIT
 
 
 USERS = ("ifu", "u1", "u2", "u3")
@@ -83,27 +88,43 @@ def _pre_state(mode: ExecutionMode, charge_fees: bool) -> L2State:
     )
 
 
-def _assert_traces_identical(incremental, scratch):
-    assert len(incremental.steps) == len(scratch.steps)
-    for mine, theirs in zip(incremental.steps, scratch.steps):
-        assert mine.index == theirs.index
-        assert mine.tx == theirs.tx
-        assert mine.result.executed == theirs.result.executed
-        assert mine.result.validity == theirs.result.validity
-        assert mine.result.price_before == theirs.result.price_before
-        assert mine.result.price_after == theirs.result.price_after
-        assert (
-            mine.result.remaining_supply == theirs.result.remaining_supply
-        )
-    assert (
-        incremental.final_state.canonical_items()
-        == scratch.final_state.canonical_items()
+def _assert_matches_replay(summary, pre, txs, order, wealth_users=()):
+    """Every :class:`EvalSummary` field equals what ``OVM.replay`` of
+    ``order`` shows, floats compared bit for bit."""
+    reference = OVM().replay(pre, tuple(txs[i] for i in order))
+    final = reference.final_state
+    assert summary.order == tuple(order)
+    assert summary.executed == [s.executed for s in reference.steps]
+    assert summary.prices_before == [
+        s.result.price_before for s in reference.steps
+    ]
+    assert summary.remaining_after == [
+        s.result.remaining_supply for s in reference.steps
+    ]
+    assert repr(summary.final_price) == repr(final.unit_price)
+    assert summary.consistent == reference.consistent()
+    assert summary.executed_count == reference.executed_count
+    assert {user: repr(value) for user, value in summary.wealth.items()} == {
+        user: repr(final.wealth(user)) for user in wealth_users
+    }
+
+
+def _poison_fixture():
+    """Three burns and a mint over one live token: any order that burns
+    three times before the mint burns past the global supply."""
+    pre = L2State(
+        NFTContractConfig(max_supply=4),
+        balances={"a": 5.0, "b": 5.0},
+        inventory={"a": 2},
+        mode=ExecutionMode.BATCH,
     )
-    assert incremental.consistent() == scratch.consistent()
+    txs = (_mint("b", nonce=0), _burn("a", nonce=1), _burn("a", nonce=2),
+           _burn("a", nonce=3))
+    return pre, txs
 
 
 class TestDifferentialIdentity:
-    """IncrementalOVM ≡ OVM.replay over randomized order sequences."""
+    """IncrementalOVM.evaluate ≡ OVM.replay over randomized order sequences."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -116,37 +137,23 @@ class TestDifferentialIdentity:
         size = int(rng.integers(3, 9))
         txs = _random_collection(rng, size)
         pre = _pre_state(mode, charge_fees)
-        engine = IncrementalOVM(pre, txs, wealth_users=("ifu", "u1"))
-        scratch = OVM()
-        # A run of orders: identity, then random permutations — forcing
-        # rewinds of every depth against the engine's current order.
+        users = ("ifu", "u1")
+        engine = IncrementalOVM(pre, txs, wealth_users=users)
+        # A run of orders: identity, random permutations and prefixes —
+        # forcing rewinds of every depth against the engine's current
+        # order.
         orders = [tuple(range(size))]
         orders += [
             tuple(int(x) for x in rng.permutation(size)) for _ in range(8)
         ]
+        orders += [
+            tuple(int(x) for x in rng.permutation(size)[: size // 2])
+            for _ in range(2)
+        ]
         for order in orders:
-            sequence = tuple(txs[i] for i in order)
-            incremental = engine.replay_order(order)
-            reference = scratch.replay(pre, sequence)
-            _assert_traces_identical(incremental, reference)
-            # The allocation-light scoring path must agree column for
-            # column with the trace-shaped reference.
-            summary = engine.evaluate(order)
-            assert summary.executed == [s.executed for s in reference.steps]
-            assert summary.prices_before == [
-                s.result.price_before for s in reference.steps
-            ]
-            assert summary.remaining_after == [
-                s.result.remaining_supply for s in reference.steps
-            ]
-            assert summary.final_price == reference.final_state.unit_price
-            assert summary.consistent == reference.consistent()
-            assert summary.executed_count == reference.executed_count
-            assert summary.wealth == {
-                user: reference.final_state.wealth(user)
-                for user in ("ifu", "u1")
-            }
+            _assert_matches_replay(engine.evaluate(order), pre, txs, order, users)
 
+    @pytest.mark.kernel
     def test_single_swap_resume(self):
         """A pairwise swap resumes from min(i, j), results unchanged."""
         rng = np.random.default_rng(7)
@@ -155,39 +162,95 @@ class TestDifferentialIdentity:
         stats = ReplayEngineStats()
         engine = IncrementalOVM(pre, txs, stats=stats)
         order = list(range(8))
-        engine.replay_order(order)
+        engine.evaluate(order)
         assert stats.scratch_replays == 1
         order[2], order[5] = order[5], order[2]
-        trace = engine.replay_order(order)
+        summary = engine.evaluate(order)
         assert stats.incremental_replays == 1
         assert stats.resume_depth_total == 2  # resumed at min(2, 5)
-        reference = OVM().replay(pre, tuple(txs[i] for i in order))
-        _assert_traces_identical(trace, reference)
+        assert stats.steps_undone == 6
+        assert stats.steps_executed == 8 + 6
+        _assert_matches_replay(summary, pre, txs, order)
 
-    def test_trace_final_state_survives_later_evaluations(self):
+    def test_summaries_survive_later_evaluations(self):
+        """Summaries own their columns: later evaluations, which reuse
+        the engine's buffers, leave an earlier summary unchanged."""
         rng = np.random.default_rng(11)
         txs = _random_collection(rng, 6)
         pre = _pre_state(ExecutionMode.BATCH, False)
-        engine = IncrementalOVM(pre, txs)
-        first = engine.replay_order(range(6))
-        items_before = first.final_state.canonical_items()
-        engine.replay_order(tuple(reversed(range(6))))
-        assert first.final_state.canonical_items() == items_before
+        engine = IncrementalOVM(pre, txs, wealth_users=("ifu",))
+        first = engine.evaluate(range(6))
+        columns = (
+            list(first.executed), list(first.prices_before),
+            list(first.remaining_after), dict(first.wealth),
+        )
+        engine.evaluate(tuple(reversed(range(6))))
+        engine.evaluate((5, 5, 5))
+        assert columns == (
+            first.executed, first.prices_before,
+            first.remaining_after, first.wealth,
+        )
+        _assert_matches_replay(first, pre, txs, tuple(range(6)), ("ifu",))
 
     def test_prefix_orders_supported(self):
         rng = np.random.default_rng(3)
         txs = _random_collection(rng, 6)
         pre = _pre_state(ExecutionMode.STRICT, True)
-        engine = IncrementalOVM(pre, txs)
-        engine.replay_order(range(6))
-        partial = engine.replay_order((0, 1, 2))
-        reference = OVM().replay(pre, txs[:3])
-        _assert_traces_identical(partial, reference)
+        users = ("ifu", "u3")
+        engine = IncrementalOVM(pre, txs, wealth_users=users)
+        engine.evaluate(range(6))
+        partial = engine.evaluate((0, 1, 2))
+        _assert_matches_replay(partial, pre, txs, (0, 1, 2), users)
+
+    def test_orders_longer_than_the_collection(self):
+        """Repeated indices may make an order longer than N; the engine
+        grows its per-position buffers and keeps the applied prefix."""
+        rng = np.random.default_rng(8)
+        txs = _random_collection(rng, 4)
+        pre = _pre_state(ExecutionMode.BATCH, True)
+        engine = IncrementalOVM(pre, txs, wealth_users=USERS)
+        for order in [(0, 1, 2, 3), (0, 1, 2, 3, 0, 1, 2), (0, 1, 3, 3, 3, 2,
+                      1, 0, 0), (0, 1)]:
+            _assert_matches_replay(engine.evaluate(order), pre, txs, order, USERS)
+
+    @pytest.mark.parametrize("charge_fees", [False, True])
+    @pytest.mark.parametrize("mode", list(ExecutionMode))
+    def test_self_transfers_rewind_exactly(self, mode, charge_fees):
+        """A self-transfer debits and credits one balance; rewinding past
+        it must restore the value before the debit, not after it."""
+        pre = _pre_state(mode, charge_fees)
+        txs = (
+            _transfer("u1", "u1", nonce=0, priority_fee=0.7),
+            _mint("ifu", nonce=1),
+            _transfer("ifu", "ifu", nonce=2, priority_fee=0.3),
+            _transfer("u1", "u2", nonce=3),
+        )
+        engine = IncrementalOVM(pre, txs, wealth_users=USERS)
+        for order in [(0, 1, 2, 3), (1, 0, 2, 3), (1, 2, 0, 3), (3, 2, 1, 0),
+                      (0, 1, 2, 3)]:
+            _assert_matches_replay(engine.evaluate(order), pre, txs, order, USERS)
+
+    @pytest.mark.parametrize("mode", list(ExecutionMode))
+    def test_closed_form_prices_above_the_table_limit(self, mode):
+        """Collections too large for a price table take Eq. 10's closed
+        form, with the table's exact operation order."""
+        rng = np.random.default_rng(23)
+        txs = _random_collection(rng, 7)
+        pre = L2State(
+            NFTContractConfig(max_supply=PRICE_TABLE_LIMIT + 7),
+            balances={"ifu": 4.0, "u1": 3.0, "u2": 1.0, "u3": 0.3},
+            inventory={"ifu": 2, "u1": 1, "u2": 1},
+            mode=mode,
+            charge_fees=True,
+        )
+        assert pre.pricing.table() is None
+        engine = IncrementalOVM(pre, txs, wealth_users=USERS)
+        for _ in range(6):
+            order = tuple(int(x) for x in rng.permutation(7))
+            _assert_matches_replay(engine.evaluate(order), pre, txs, order, USERS)
 
     def test_engine_recovers_after_apply_error(self):
         """A mid-replay error (burn beyond supply) leaves the engine usable."""
-        from repro.errors import TokenError
-
         pre = L2State(
             NFTContractConfig(max_supply=3),
             balances={"a": 5.0, "b": 5.0},
@@ -195,22 +258,20 @@ class TestDifferentialIdentity:
             mode=ExecutionMode.BATCH,
         )
         txs = (_burn("a", nonce=0), _burn("a", nonce=1), _mint("b", nonce=2))
-        engine = IncrementalOVM(pre, txs)
+        engine = IncrementalOVM(pre, txs, wealth_users=("a", "b"))
         # Order (0, 1, 2): the second burn pushes supply above max -> raises,
         # exactly as OVM.replay would on the same sequence.
-        with pytest.raises(TokenError):
-            engine.replay_order((0, 1, 2))
-        with pytest.raises(TokenError):
+        with pytest.raises(TokenError) as mine:
+            engine.evaluate((0, 1, 2))
+        with pytest.raises(TokenError) as oracle:
             OVM().replay(pre, (txs[0], txs[1], txs[2]))
+        assert str(mine.value) == str(oracle.value)
         # The engine must still answer valid orders correctly afterwards.
         order = (0, 2, 1)
-        trace = engine.replay_order(order)
-        reference = OVM().replay(pre, tuple(txs[i] for i in order))
-        _assert_traces_identical(trace, reference)
+        _assert_matches_replay(engine.evaluate(order), pre, txs, order, ("a", "b"))
 
     @pytest.mark.parametrize("bad", [-1, 6])
-    @pytest.mark.parametrize("method", ["evaluate", "replay_order"])
-    def test_out_of_range_index_rejected_before_any_change(self, method, bad):
+    def test_out_of_range_index_rejected_before_any_change(self, bad):
         """Indices outside ``[0, N)`` raise IndexError, as in the batch
         kernel, and leave the engine's state and counters untouched."""
         rng = np.random.default_rng(5)
@@ -218,19 +279,84 @@ class TestDifferentialIdentity:
         pre = _pre_state(ExecutionMode.BATCH, False)
         stats = ReplayEngineStats()
         engine = IncrementalOVM(pre, txs, stats=stats)
-        score = getattr(engine, method)
         with pytest.raises(IndexError):
-            score((bad, 0, 1, 2, 3, 4))  # rejected on a fresh engine
+            engine.evaluate((bad, 0, 1, 2, 3, 4))  # rejected on a fresh engine
         assert stats.as_dict() == ReplayEngineStats().as_dict()
-        score(range(6))
+        engine.evaluate(range(6))
         before = stats.as_dict()
         with pytest.raises(IndexError):
-            score((0, 1, 2, bad, 4, 5))  # rejected in a resumed suffix
+            engine.evaluate((0, 1, 2, bad, 4, 5))  # rejected in a resumed suffix
         assert stats.as_dict() == before
         order = (0, 1, 2, 5, 4, 3)
-        reference = OVM().replay(pre, tuple(txs[i] for i in order))
-        _assert_traces_identical(engine.replay_order(order), reference)
-        assert stats.steps_undone == 3  # rewound from the identity, not a stray step
+        _assert_matches_replay(engine.evaluate(order), pre, txs, order)
+
+
+@pytest.mark.kernel
+class TestKernelResume:
+    """The kernel's cursor: each call's resume point and step counts."""
+
+    def _engine(self, size=6, mode=ExecutionMode.BATCH, charge_fees=True):
+        txs = _random_collection(np.random.default_rng(17), size)
+        pre = _pre_state(mode, charge_fees)
+        stats = ReplayEngineStats()
+        return IncrementalOVM(pre, txs, stats=stats, wealth_users=USERS), pre, txs
+
+    def test_rejected_order_keeps_the_resume_point(self):
+        engine, pre, txs = self._engine()
+        engine.evaluate(range(6))
+        with pytest.raises(IndexError):
+            engine.evaluate((0, 1, 2, 6, 4, 5))
+        order = (0, 1, 2, 5, 4, 3)
+        _assert_matches_replay(engine.evaluate(order), pre, txs, order, USERS)
+        assert engine.stats.steps_undone == 3  # rewound from the identity
+
+    def test_shorter_order_after_a_longer_one(self):
+        engine, pre, txs = self._engine()
+        stats = engine.stats
+        engine.evaluate(range(6))
+        shorter = (0, 1, 2, 3)
+        _assert_matches_replay(engine.evaluate(shorter), pre, txs, shorter, USERS)
+        assert (stats.resume_depth_total, stats.steps_undone) == (4, 2)
+        assert stats.steps_executed == 6  # nothing stepped for the prefix
+        longer = tuple(range(6))
+        _assert_matches_replay(engine.evaluate(longer), pre, txs, longer, USERS)
+        assert (stats.resume_depth_total, stats.steps_executed) == (8, 8)
+
+    def test_same_order_twice_is_a_zero_step_resume(self):
+        engine, pre, txs = self._engine(mode=ExecutionMode.STRICT)
+        stats = engine.stats
+        order = (3, 1, 4, 0, 5, 2)
+        first = engine.evaluate(order)
+        before = stats.steps_executed
+        again = engine.evaluate(order)
+        assert stats.steps_executed == before
+        assert stats.steps_undone == 0
+        assert stats.resume_depth_total == 6
+        assert stats.steps_reused == 6
+        for field in ("executed", "prices_before", "remaining_after",
+                      "final_price", "consistent", "executed_count", "wealth"):
+            assert getattr(again, field) == getattr(first, field)
+        _assert_matches_replay(again, pre, txs, order, USERS)
+
+    def test_burn_poisoned_suffix_then_resume_from_the_valid_prefix(self):
+        pre, txs = _poison_fixture()
+        stats = ReplayEngineStats()
+        engine = IncrementalOVM(pre, txs, stats=stats, wealth_users=("a", "b"))
+        engine.evaluate((1, 0, 2, 3))
+        poisoned = (1, 2, 3, 0)  # the third burn finds no live token
+        with pytest.raises(TokenError) as mine:
+            engine.evaluate(poisoned)
+        with pytest.raises(TokenError) as oracle:
+            OVM().replay(pre, tuple(txs[i] for i in poisoned))
+        assert str(mine.value) == str(oracle.value)
+        # Resumed at position 1, stepped one burn, stopped at position 2.
+        assert (stats.resume_depth_total, stats.steps_undone) == (1, 3)
+        assert stats.steps_executed == 4 + 1
+        order = (1, 2, 0, 3)
+        summary = engine.evaluate(order)
+        _assert_matches_replay(summary, pre, txs, order, ("a", "b"))
+        assert stats.resume_depth_total == 1 + 2  # the valid prefix (1, 2)
+        assert stats.steps_undone == 3  # nothing past the poison to undo
 
 
 class TestCountingInventory:

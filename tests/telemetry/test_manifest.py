@@ -48,12 +48,61 @@ class TestConfigHash:
         )
 
 
+_REV = "0123456789abcdef0123456789abcdef01234567"
+_OTHER_REV = "fedcba9876543210fedcba9876543210fedcba98"
+
+
+def _git_dir(root: pathlib.Path, head: str = "ref: refs/heads/main") -> pathlib.Path:
+    """A hand-written ``.git`` directory under ``root`` with ``HEAD``."""
+    git = root / ".git"
+    (git / "refs" / "heads").mkdir(parents=True)
+    (git / "HEAD").write_text(head + "\n")
+    return git
+
+
 class TestGitRevision:
-    def test_reads_this_checkout(self):
-        rev = git_revision()
-        assert rev is not None
-        assert len(rev) == 40
-        int(rev, 16)  # hex
+    """``git_revision`` on throwaway repositories written by hand, so the
+    result is the same in a checkout, a source export or a worktree."""
+
+    def test_reads_a_loose_ref(self, tmp_path):
+        git = _git_dir(tmp_path)
+        (git / "refs" / "heads" / "main").write_text(_REV + "\n")
+        nested = tmp_path / "src" / "pkg"
+        nested.mkdir(parents=True)
+        assert git_revision(nested) == _REV
+
+    def test_reads_packed_refs(self, tmp_path):
+        git = _git_dir(tmp_path)
+        (git / "packed-refs").write_text(
+            "# pack-refs with: peeled fully-peeled sorted\n"
+            f"{_OTHER_REV} refs/heads/not/refs/heads/main\n"
+            f"{_REV} refs/heads/main\n"
+            f"^{_OTHER_REV}\n"
+        )
+        assert git_revision(tmp_path) == _REV
+
+    def test_reads_a_detached_head(self, tmp_path):
+        _git_dir(tmp_path, head=_REV)
+        assert git_revision(tmp_path) == _REV
+
+    @pytest.mark.parametrize("relative", [False, True])
+    def test_follows_a_worktree_gitdir_file(self, tmp_path, relative):
+        """A worktree nested in another checkout reads its own branch
+        through ``gitdir:`` and the shared refs through ``commondir``,
+        not the enclosing checkout's ``HEAD``."""
+        main = _git_dir(tmp_path)
+        (main / "refs" / "heads" / "main").write_text(_OTHER_REV + "\n")
+        (main / "packed-refs").write_text(f"{_REV} refs/heads/feature\n")
+        admin = main / "worktrees" / "feature"
+        admin.mkdir(parents=True)
+        (admin / "HEAD").write_text("ref: refs/heads/feature\n")
+        (admin / "commondir").write_text("../..\n")
+        tree = tmp_path / "trees" / "feature"
+        tree.mkdir(parents=True)
+        target = "../../.git/worktrees/feature" if relative else str(admin)
+        (tree / ".git").write_text(f"gitdir: {target}\n")
+        assert git_revision(tree) == _REV
+        assert git_revision(tmp_path) == _OTHER_REV
 
     def test_none_outside_a_checkout(self, tmp_path):
         assert git_revision(tmp_path) is None
