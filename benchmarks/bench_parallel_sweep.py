@@ -1,8 +1,8 @@
-"""Parallel fabric bench: serial vs fabric-runner sweep throughput.
+"""Parallel fabric bench: serial vs process-pool sweep throughput.
 
 Runs the same Fig. 6-style sweep — independent, explicitly seeded
 ``shared_pool_round`` trials — through the serial backend and the
-fabric runner with 2 and 4 workers, and archives wall-clock times and
+process pool with 2 and 4 workers, and archives wall-clock times and
 speedups (``BENCH_parallel.json``).  Determinism is asserted
 unconditionally: every backend must return the identical value list.
 
@@ -78,7 +78,7 @@ def test_parallel_sweep_speedup(save_artifact, emit_bench):
         records.append(
             {
                 "jobs": workers,
-                "backend": "stealing",
+                "backend": "pool",
                 "seconds": seconds,
                 "speedup": serial_seconds / seconds,
                 "identical_to_serial": values == serial_values,

@@ -35,28 +35,16 @@ def _preset(args: argparse.Namespace) -> EffortPreset:
 
 
 def _runner(args: argparse.Namespace) -> TaskRunner:
-    """The fabric backend selected by ``--jobs``/``--workers``."""
-    return get_runner(
-        getattr(args, "jobs", 1),
-        workers=getattr(args, "workers", None),
-    )
+    """The fabric backend selected by ``--jobs``."""
+    return get_runner(getattr(args, "jobs", 1))
 
 
 def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for the sweep, scheduled by work "
-             "stealing (1 = serial, the default; negative = one per "
-             "core); results are identical for every value",
-    )
-
-
-def _add_workers_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--workers", action="append", default=None, metavar="HOST:PORT",
-        help="remote 'parole worker serve' address; repeat the flag or "
-             "comma-separate to add hosts (overrides --jobs; "
-             "results stay byte-identical to a local run)",
+        help="worker processes for the sweep (1 = serial, the default; "
+             "negative = one per core); results are identical for "
+             "every value",
     )
 
 
@@ -177,7 +165,6 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
     records = run_all(
         pathlib.Path(args.out), preset=_preset(args), only=args.only,
         telemetry=telemetry, jobs=args.jobs, store=store,
-        workers=args.workers,
     )
     failures = 0
     for record in records:
@@ -306,34 +293,6 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_worker_serve(args: argparse.Namespace) -> int:
-    from .parallel.remote import WorkerServer
-
-    server = WorkerServer(
-        host=args.host,
-        port=args.port,
-        jobs=args.jobs,
-        max_chunks_per_connection=args.max_chunks,
-        once=args.once,
-        token=args.token,
-    )
-    host, port = server.start()
-    # Machine-readable bind line first: scripts (and the CI soak) parse
-    # the port out of it when serving on --port 0.
-    print(f"serving on {host}:{port} jobs={server.jobs}", flush=True)
-    try:
-        server.wait()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.stop()
-    print(
-        f"served {server.chunks_served} chunk(s) over "
-        f"{server.connections_served} connection(s)"
-    )
-    return 0
-
-
 def _cmd_telemetry(args: argparse.Namespace) -> int:
     from .telemetry import summarize_trace, tail_trace
 
@@ -436,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="record metrics, per-experiment manifests and a JSONL trace",
     )
     _add_jobs_flag(run_all)
-    _add_workers_flag(run_all)
     _add_cache_flags(run_all)
     run_all.set_defaults(handler=_cmd_run_all)
 
@@ -461,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--flaky-every", type=int, default=0, metavar="K",
                        help="aggregator 1 dies on every K-th execution")
     _add_jobs_flag(chaos)
-    _add_workers_flag(chaos)
     _add_cache_flags(chaos)
     chaos.set_defaults(handler=_cmd_chaos)
 
@@ -488,7 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--json", action="store_true",
                         help="print the deterministic report as JSON")
     _add_jobs_flag(stream)
-    _add_workers_flag(stream)
     _add_cache_flags(stream)
     stream.set_defaults(handler=_cmd_stream)
 
@@ -522,46 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the deterministic JSON to FILE",
     )
     _add_jobs_flag(matrix)
-    _add_workers_flag(matrix)
     _add_cache_flags(matrix)
     matrix.set_defaults(handler=_cmd_matrix)
-
-    worker = subparsers.add_parser(
-        "worker",
-        help="remote execution-fabric worker (serve sweeps for "
-             "--workers HOST:PORT runs)",
-    )
-    worker_sub = worker.add_subparsers(dest="worker_command", required=True)
-    worker_serve = worker_sub.add_parser(
-        "serve",
-        help="listen for fabric clients; refuses mismatched "
-             "code/environment at handshake",
-    )
-    worker_serve.add_argument("--host", default="127.0.0.1")
-    worker_serve.add_argument(
-        "--port", type=int, default=0,
-        help="TCP port (default 0 = pick a free port and print it)",
-    )
-    worker_serve.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="parallel chunks this host executes (advertised as slots)",
-    )
-    worker_serve.add_argument(
-        "--once", action="store_true",
-        help="exit after the first client disconnects",
-    )
-    worker_serve.add_argument(
-        "--max-chunks", type=int, default=None, metavar="N",
-        help="drop each connection after N chunks (fault-injection "
-             "hook for churn testing)",
-    )
-    worker_serve.add_argument(
-        "--token", default=None, metavar="SECRET",
-        help="shared secret clients must present at handshake "
-             "(default: $PAROLE_FABRIC_TOKEN; required for any "
-             "non-loopback --host)",
-    )
-    worker_serve.set_defaults(handler=_cmd_worker_serve)
 
     telemetry = subparsers.add_parser(
         "telemetry", help="summarize or tail a recorded JSONL trace"

@@ -586,8 +586,8 @@ def run_matrix(
 
     ``runner`` is the parallel fabric backend (``get_runner(jobs)``);
     cells are independent tasks, so the report is byte-identical for
-    any jobs/workers/schedule value.  With a ``store`` (or a runner
-    already carrying one) each cell is memoized individually.
+    any jobs value.  With a ``store`` (or a runner already carrying
+    one) each cell is memoized individually.
     """
     config = config or MatrixConfig()
     runner = runner or get_runner(None)

@@ -16,55 +16,31 @@ Backends produce identical results for identical task lists — the
 experiment harnesses (`fig6`/`fig7`/`fig8`/`fig9`/`fig11`/`defense`),
 ``run_all --jobs N``, the chaos matrix and the sweep benches all ride
 on this package.  There are two runners: :class:`SerialRunner`, the
-reference, and the fabric runner :class:`StealingRunner`, which drives
-the work-stealing scheduler over worker endpoints of two kinds — local
-pipe workers (``--jobs N``) and, as :class:`~.remote.RemoteRunner`,
-sockets to ``parole worker serve`` hosts sharing one result store
-(``--workers``); see :mod:`.protocol` for the wire format.
+reference, and :class:`PoolRunner`, which runs each task on a
+standard-library process pool (``--jobs N``).
 """
 
 from .fabric import (
+    PoolRunner,
     SerialRunner,
-    StealingRunner,
     Task,
     TaskResult,
     TaskRunner,
     get_runner,
-    parse_worker_addresses,
     resolve_cache_key,
     spawn_task_seeds,
 )
-from .scheduler import (
-    COST_NAMESPACE,
-    EndpointDied,
-    TaskCostModel,
-    WorkerEndpoint,
-    WorkStealingScheduler,
-    cost_group,
-    next_chunk_size,
-    plan_queues,
-)
-from .worker import ChunkPayload, ChunkResult, TaskError, init_worker, run_chunk
+from .worker import ChunkResult, TaskError, init_worker, run_chunk
 
 __all__ = [
+    "PoolRunner",
     "SerialRunner",
-    "StealingRunner",
     "Task",
     "TaskResult",
     "TaskRunner",
     "get_runner",
-    "parse_worker_addresses",
     "resolve_cache_key",
     "spawn_task_seeds",
-    "COST_NAMESPACE",
-    "EndpointDied",
-    "TaskCostModel",
-    "WorkerEndpoint",
-    "WorkStealingScheduler",
-    "cost_group",
-    "next_chunk_size",
-    "plan_queues",
-    "ChunkPayload",
     "ChunkResult",
     "TaskError",
     "init_worker",

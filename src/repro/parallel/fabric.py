@@ -9,10 +9,7 @@ shape:
   the seed passed explicitly so the task owns its entire random state;
 * a :class:`TaskRunner` abstraction with two backends:
   :class:`SerialRunner` (the reference implementation) and
-  :class:`StealingRunner`, the fabric runner: the work-stealing
-  scheduler of :mod:`.scheduler` driving worker endpoints, which are
-  long-lived local pipe workers here and remote sockets in its
-  :class:`~.remote.RemoteRunner` subclass;
+  :class:`PoolRunner`, a standard-library process pool;
 * :func:`spawn_task_seeds` — per-task seeds derived from the sweep seed
   via ``np.random.SeedSequence.spawn``, the recommended derivation for
   new sweeps (statistically independent streams, stable across numpy
@@ -25,7 +22,7 @@ regardless of completion order.  ``tests/parallel`` asserts byte-equal
 JSON payloads for the Fig. 6/7/9 harnesses across ``--jobs 1/2/4``.
 
 **Telemetry.**  When the parent process has a live metrics registry,
-workers record into their own chunk-local registry/tracer and ship a
+workers record into their own task-local registry/tracer and ship a
 serialized state + span buffer back; once the batch ends the parent
 folds them in (``MetricsRegistry.merge`` / ``Tracer.absorb``) in task
 order, so ``--telemetry --jobs N`` manifests carry the same counts as a
@@ -34,31 +31,26 @@ serial run.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+from concurrent.futures import Future, ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import ParallelError
 from ..store import CodecError, ResultStore, UnkeyableError, task_key
 from ..telemetry import get_metrics, get_tracer
-from .scheduler import (
-    EndpointDied,
-    TaskCostModel,
-    WorkerEndpoint,
-    WorkStealingScheduler,
-)
-from .worker import ChunkPayload, ChunkResult, TaskError, steal_worker_main
+from .worker import ChunkResult, TaskError, call_task, init_worker, run_chunk
 
 __all__ = [
     "Task",
     "TaskResult",
     "TaskRunner",
     "SerialRunner",
-    "StealingRunner",
+    "PoolRunner",
     "get_runner",
-    "parse_worker_addresses",
     "resolve_cache_key",
     "spawn_task_seeds",
 ]
@@ -216,16 +208,18 @@ class TaskRunner:
 
         Raises :class:`~repro.errors.ParallelError` on the first failed
         task (carrying the worker-side traceback), mirroring what the
-        equivalent serial loop would have raised.
+        equivalent serial loop would have raised; the message also
+        names every other task of the batch that failed.
         """
         results = self.run(tasks)
-        for result in results:
-            if result.error is not None:
-                detail = result.label or f"task #{result.index}"
-                raise ParallelError(
-                    f"{detail} failed with {result.error}\n"
-                    f"{result.error.traceback}"
-                )
+        failed = [result for result in results if result.error is not None]
+        if failed:
+            names = [result.label or f"task #{result.index}" for result in failed]
+            first = failed[0].error
+            also = f"also failed: {', '.join(names[1:])}\n" if names[1:] else ""
+            raise ParallelError(
+                f"{names[0]} failed with {first}\n{also}{first.traceback}"
+            )
         return [result.value for result in results]
 
     def close(self) -> None:
@@ -256,23 +250,15 @@ class SerialRunner(TaskRunner):
         tasks: List[Task],
         persist: Optional[Callable[[int, TaskResult], None]],
     ) -> List[TaskResult]:
-        from .worker import call_task
-
         results: List[TaskResult] = []
         for index, task in enumerate(tasks):
             try:
                 value = call_task(task.fn, task.args, task.kwargs, task.seed)
                 result = TaskResult(index=index, value=value, label=task.label)
             except Exception as exc:
-                import traceback as tb_module
-
                 result = TaskResult(
                     index=index,
-                    error=TaskError(
-                        exc_type=type(exc).__name__,
-                        message=str(exc),
-                        traceback=tb_module.format_exc(),
-                    ),
+                    error=TaskError.from_exception(exc),
                     label=task.label,
                 )
             # Persist before the failure propagates out of ``map``:
@@ -290,172 +276,36 @@ def _default_start_method() -> str:
     picklable module-level functions, and ``init_worker`` resets any
     telemetry state a fork might have inherited.
     """
-    import multiprocessing
-
     methods = multiprocessing.get_all_start_methods()
     return "fork" if "fork" in methods else "spawn"
 
 
-class _ProcessEndpoint(WorkerEndpoint):
-    """One pipe-connected local worker process for the fabric runner."""
+class PoolRunner(TaskRunner):
+    """The process backend: a standard-library process pool.
 
-    slots = 1
+    Each task goes to a :class:`~concurrent.futures.ProcessPoolExecutor`
+    as its own :func:`run_chunk` call; results are persisted as they
+    arrive and reassembled in submission order.  The pool starts on the
+    first non-empty batch and is reused across batches; :meth:`close`
+    joins every worker.
 
-    def __init__(self, ident: str, start_method: str) -> None:
-        self.ident = ident
-        self.start_method = start_method
-        self._conn = None
-        self._proc = None
-        self._start()
-
-    def _start(self) -> None:
-        import multiprocessing
-
-        ctx = multiprocessing.get_context(self.start_method)
-        parent_conn, child_conn = ctx.Pipe()
-        proc = ctx.Process(
-            target=steal_worker_main, args=(child_conn,), daemon=True
-        )
-        proc.start()
-        child_conn.close()
-        self._conn, self._proc = parent_conn, proc
-
-    @property
-    def connected(self) -> bool:
-        return self._conn is not None
-
-    def waitable(self):
-        return self._conn
-
-    def send_chunk(self, chunk_id, entries, capture_telemetry, span_buffer_size):
-        if self._conn is None:
-            raise EndpointDied(f"{self.ident}: worker pipe is closed")
-        payload = ChunkPayload(
-            tasks=tuple(entries),
-            capture_telemetry=capture_telemetry,
-            span_buffer_size=span_buffer_size,
-        )
-        try:
-            self._conn.send((chunk_id, payload))
-        except (BrokenPipeError, OSError) as exc:
-            raise EndpointDied(f"{self.ident}: {exc}") from exc
-
-    def recv_outcome(self):
-        if self._conn is None:
-            raise EndpointDied(f"{self.ident}: worker pipe is closed")
-        try:
-            return self._conn.recv()
-        except (EOFError, OSError) as exc:
-            raise EndpointDied(f"{self.ident}: worker pipe closed") from exc
-
-    def respawn(self) -> bool:
-        self.close(graceful=False)
-        try:
-            self._start()
-            return True
-        except OSError:
-            return False
-
-    def close(self, graceful: bool = True) -> None:
-        if self._conn is not None:
-            try:
-                if graceful:
-                    self._conn.send(None)
-            except (BrokenPipeError, OSError):
-                pass
-            try:
-                self._conn.close()
-            except OSError:
-                pass
-            self._conn = None
-        if self._proc is not None:
-            self._proc.join(timeout=5.0 if graceful else 0.5)
-            if self._proc.is_alive():
-                self._proc.terminate()
-                self._proc.join(timeout=1.0)
-            self._proc = None
-
-
-class StealingRunner(TaskRunner):
-    """The fabric runner: the work-stealing scheduler over worker endpoints.
-
-    Batches run on the scheduler in :mod:`.scheduler`: per-worker local
-    queues built in LPT order from a :class:`~.scheduler.TaskCostModel`
-    (fed by prior observed timings when a store is attached), adaptive
-    chunk splitting, and steal-half rebalancing when a worker runs dry.
-    Endpoints open on the first non-empty batch and are reused across
-    ``run`` calls.  One that dies mid-batch is respawned with its tasks
-    requeued exactly once; one that stays dead is excluded, gets a fresh
-    restart attempt at the start of every later batch, and the batch
-    runs on the live subset.
-
-    This class opens ``max_workers`` pipe-connected local worker
-    processes; :class:`~.remote.RemoteRunner` overrides
-    :meth:`_open_endpoints` to connect to ``parole worker serve`` hosts.
-
-    The determinism contract is identical to :class:`SerialRunner`:
-    submission-order reassembly plus explicit per-task seeds make the
-    results byte-identical regardless of cost skew, steal pattern, or
-    worker churn (``tests/parallel/test_determinism_chaos.py``).
+    A task that cannot be pickled, returns a value that cannot be, or
+    kills its worker fails as a :class:`TaskError` — a dead worker fails
+    every task the pool had not finished.  Nothing is retried: the pool
+    is dropped, the next batch starts a fresh one, and a re-run with a
+    result store resumes from the tasks that completed.
     """
 
-    name = "stealing"
+    name = "pool"
 
     def __init__(
         self,
         max_workers: Optional[int] = None,
-        start_method: Optional[str] = None,
-        span_buffer_size: int = 4096,
         store: Optional[ResultStore] = None,
-        cost_model: Optional[TaskCostModel] = None,
-        chunk_factor: int = 4,
-        min_chunk: int = 1,
-        tick_seconds: float = 1.0,
     ) -> None:
-        cpu = os.cpu_count() or 1
-        self.max_workers = max(1, max_workers if max_workers is not None else cpu)
-        self.start_method = start_method or _default_start_method()
-        self.span_buffer_size = span_buffer_size
+        self.max_workers = max(1, max_workers or os.cpu_count() or 1)
         self.store = store
-        self.cost_model = (
-            cost_model if cost_model is not None else TaskCostModel(store=store)
-        )
-        self.chunk_factor = chunk_factor
-        self.min_chunk = min_chunk
-        self.tick_seconds = tick_seconds
-        self.last_scheduler: Optional[WorkStealingScheduler] = None
-        self._endpoints: Optional[List[WorkerEndpoint]] = None
-
-    def _open_endpoints(self) -> List[WorkerEndpoint]:
-        """Open this runner's endpoints; called once, on the first batch."""
-        return [
-            _ProcessEndpoint(f"local-{index}", self.start_method)
-            for index in range(self.max_workers)
-        ]
-
-    def _ensure_endpoints(self) -> List[WorkerEndpoint]:
-        if self._endpoints is None:
-            self._endpoints = self._open_endpoints()
-            return self._endpoints
-        # A respawn that failed in a prior batch leaves a closed endpoint
-        # behind.  Give each one a fresh restart attempt and run this
-        # batch on the live subset; a still-dead endpoint stays in the
-        # list so later batches retry it.
-        live = [
-            endpoint
-            for endpoint in self._endpoints
-            if endpoint.connected or endpoint.respawn()
-        ]
-        dead = len(self._endpoints) - len(live)
-        if dead:
-            get_metrics().counter("fabric.worker_unreachable").inc(dead)
-            get_tracer().event("fabric.workers_degraded", unreachable=dead)
-        if not live:
-            raise ParallelError(
-                "no fabric workers left: every endpoint died in an earlier "
-                "batch and failed to restart"
-            )
-        return live
+        self._pool: Optional[ProcessPoolExecutor] = None
 
     def _run_batch(
         self,
@@ -464,114 +314,80 @@ class StealingRunner(TaskRunner):
     ) -> List[TaskResult]:
         if not tasks:
             return []
-        endpoints = self._ensure_endpoints()
-        chunks: List[ChunkResult] = []
-        scheduler = WorkStealingScheduler(
-            endpoints,
-            cost_model=self.cost_model,
-            chunk_factor=self.chunk_factor,
-            min_chunk=self.min_chunk,
-            tick_seconds=self.tick_seconds,
-            on_telemetry=chunks.append,
-        )
+        if self._pool is not None and self._pool._broken:
+            # A worker died while the pool sat idle (a signal, the OOM
+            # killer): the executor refuses new work, so start afresh.
+            self.close()
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(
+                self.max_workers,
+                mp_context=multiprocessing.get_context(_default_start_method()),
+                initializer=init_worker,
+            )
+        capture = bool(get_metrics().enabled)
+        futures: Dict[Future, int] = {
+            self._pool.submit(
+                run_chunk, task.fn, task.args, task.kwargs, task.seed, capture
+            ): index
+            for index, task in enumerate(tasks)
+        }
+        results: List[Optional[TaskResult]] = [None] * len(tasks)
+        chunks: List[Optional[ChunkResult]] = [None] * len(tasks)
+        lost = False
         with get_tracer().span(
             "fabric.dispatch",
             tasks=len(tasks),
-            workers=len(endpoints),
+            workers=self.max_workers,
             backend=self.name,
         ):
             try:
-                results = scheduler.execute(
-                    tasks,
-                    persist=persist,
-                    capture_telemetry=bool(get_metrics().enabled),
-                    span_buffer_size=self.span_buffer_size,
-                    make_result=lambda index, value, error: TaskResult(
-                        index=index,
-                        value=value,
-                        error=error,
-                        label=tasks[index].label,
-                    ),
-                )
+                for future in as_completed(futures):
+                    index = futures[future]
+                    try:
+                        chunks[index] = future.result()
+                        value, error = chunks[index].value, chunks[index].error
+                    except Exception as exc:  # never ran, or never came back
+                        value, error, lost = None, TaskError.from_exception(exc), True
+                    results[index] = TaskResult(
+                        index=index, value=value, error=error, label=tasks[index].label
+                    )
+                    if persist is not None:
+                        persist(index, results[index])
             finally:
                 # Fold worker telemetry in task order, not arrival order:
                 # gauges merge last-write-wins, so this keeps them
                 # independent of which worker finished first.
-                for chunk in sorted(
-                    chunks, key=lambda chunk: max(i for i, _, _ in chunk.outcomes)
-                ):
+                for chunk in filter(None, chunks):
                     if chunk.metrics_state is not None:
                         get_metrics().merge(chunk.metrics_state)
                     if chunk.spans:
                         get_tracer().absorb(chunk.spans, worker=chunk.pid)
-        self.last_scheduler = scheduler
+        if lost:
+            self.close()
         return results
 
     def close(self) -> None:
-        if self._endpoints is not None:
-            for endpoint in self._endpoints:
-                endpoint.close()
-            self._endpoints = None
-
-
-def parse_worker_addresses(
-    workers: Sequence[Union[str, Tuple[str, int]]],
-) -> List[Tuple[str, int]]:
-    """Parse ``host:port`` worker specs (commas and repeats both work).
-
-    ``(host, port)`` pairs are accepted too and get the same checks.
-    """
-    addresses: List[Tuple[str, int]] = []
-    for spec in workers:
-        if not isinstance(spec, str):
-            spec = f"{spec[0]}:{spec[1]}"
-        for part in spec.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            host, separator, port_text = part.rpartition(":")
-            if not separator or not host:
-                raise ValueError(
-                    f"worker address {part!r} is not of the form host:port"
-                )
-            try:
-                port = int(port_text)
-            except ValueError as exc:
-                raise ValueError(
-                    f"worker address {part!r} has a non-integer port"
-                ) from exc
-            addresses.append((host, port))
-    if not addresses:
-        raise ValueError("no worker addresses given")
-    return addresses
+        if self._pool is not None:
+            self._pool.shutdown(wait=True, cancel_futures=True)
+            self._pool = None
 
 
 def get_runner(
     jobs: Optional[int] = None,
     store: Optional[ResultStore] = None,
-    workers: Optional[Sequence[str]] = None,
 ) -> TaskRunner:
-    """Map the CLI's ``--jobs``/``--workers`` onto a backend.
+    """Map the CLI's ``--jobs`` onto a backend.
 
-    ``workers`` (a list of ``host:port`` specs) selects the remote
-    fabric: a :class:`~repro.parallel.remote.RemoteRunner` driving
-    ``parole worker serve`` processes over the length-prefixed JSON
-    socket protocol.  Otherwise ``jobs`` sizes the local fabric:
     ``None``/``0``/``1`` — :class:`SerialRunner` (the default keeps
-    current behaviour); ``N > 1`` — :class:`StealingRunner` with ``N``
+    current behaviour); ``N > 1`` — :class:`PoolRunner` with ``N``
     worker processes; any negative value — one worker per core
     (``os.cpu_count()``), which is :class:`SerialRunner` on a one-core
     machine.  ``store`` attaches a result store (``--cache DIR``):
     every backend then consults it before dispatch and persists task
-    results as they complete — with remote workers it doubles as the
-    shared dedupe cache.
+    results as they complete.
     """
-    if workers:
-        from .remote import RemoteRunner
-
-        return RemoteRunner(workers, store=store)
     if jobs is not None and jobs < 0:
         jobs = os.cpu_count() or 1
     if jobs is None or jobs <= 1:
         return SerialRunner(store=store)
-    return StealingRunner(max_workers=jobs, store=store)
+    return PoolRunner(max_workers=jobs, store=store)

@@ -2,7 +2,7 @@
 
 The fabric's determinism contract, asserted end-to-end: the fig6/fig7/
 fig9 sweeps produce **byte-identical** JSON payloads whether they run
-serially or on the fabric runner with 2 or 4 workers.  (fig11 is excluded
+serially or on the process pool with 1, 2 or 4 workers.  (fig11 is excluded
 by design — it reports wall-clock timings, which no backend can make
 reproducible; its solutions and profits are covered by the cheaper
 parity checks in ``test_fabric``.)
@@ -22,7 +22,7 @@ from repro.experiments import (
 )
 from repro.experiments.common import QUICK
 from repro.experiments.runner import _dataclass_list
-from repro.parallel import SerialRunner, StealingRunner, get_runner
+from repro.parallel import PoolRunner, SerialRunner, get_runner
 
 
 def _payload(result) -> bytes:
@@ -82,18 +82,20 @@ HARNESSES = {
 def test_json_byte_identical_across_jobs_1_2_4(name):
     harness = HARNESSES[name]
     reference = _payload(harness(SerialRunner()))
-    for workers in (2, 4):
-        with get_runner(workers) as runner:
+    for workers in (1, 2, 4):
+        with PoolRunner(max_workers=workers) as runner:
             payload = _payload(harness(runner))
         assert payload == reference, (
-            f"{name}: --jobs {workers} JSON differs from --jobs 1"
+            f"{name}: a {workers}-worker pool's JSON differs from serial"
         )
 
 
 def test_chunk_size_does_not_change_results():
-    """Degenerate chunking (1 task per chunk) still matches serial."""
+    """Degenerate chunking (1 task per chunk, the pool's only mode) still
+    matches serial, also on a second sweep through the same pool."""
     reference = _payload(_run_fig6(SerialRunner()))
-    with StealingRunner(max_workers=2, chunk_factor=10**6) as runner:
+    with PoolRunner(max_workers=2) as runner:
+        assert _payload(_run_fig6(runner)) == reference
         assert _payload(_run_fig6(runner)) == reference
 
 
@@ -118,8 +120,8 @@ def test_cached_rerun_byte_identical_to_cold(tmp_path):
 
 
 def test_cached_process_run_matches_cached_serial(tmp_path):
-    """The store composes with the fabric runner: workers warming the
-    cache and a serial rerun reading it agree byte-for-byte."""
+    """The store composes with the pool: workers warming the cache and
+    a serial rerun reading it agree byte-for-byte."""
     from repro.store import ResultStore
 
     with get_runner(2, store=ResultStore(tmp_path / "cache")) as runner:

@@ -1,11 +1,10 @@
-"""Byte-identity across every backend × job count × adversarial skew.
+"""Byte-identity across every backend × worker count × adversarial skew.
 
 The fabric's contract is that scheduling is never observable in the
-output: serial, local work-stealing workers, and remote loopback must
-produce byte-identical reports for any task-cost skew, any worker
-count, and any worker churn.  Hypothesis drives the skew; the chaos
-matrix supplies a real (fault-injected) workload on top of the
-synthetic one.
+output: the serial runner and the process pool at 1, 2 and 4 workers
+must produce byte-identical reports for any task-cost skew.  Hypothesis
+drives the skew; the chaos matrix supplies a real (fault-injected)
+workload on top of the synthetic one.
 """
 
 import dataclasses
@@ -14,14 +13,10 @@ import json
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.parallel import (
-    SerialRunner,
-    StealingRunner,
-    Task,
-    spawn_task_seeds,
-)
-from repro.parallel.remote import RemoteRunner, WorkerServer
+from repro.parallel import PoolRunner, SerialRunner, Task, spawn_task_seeds
 from tests.parallel.fabric_tasks import seeded_draw, skewed_sleep
+
+WORKER_COUNTS = (1, 2, 4)
 
 
 def _skew_tasks(durations):
@@ -54,33 +49,11 @@ def _payload(values) -> bytes:
 def test_every_backend_and_job_count_is_byte_identical(durations):
     tasks = _skew_tasks(durations)
     reference = _payload(SerialRunner().map(tasks))
-
-    for jobs in (2, 4):
-        with StealingRunner(max_workers=jobs, tick_seconds=0.1) as runner:
+    for jobs in WORKER_COUNTS:
+        with PoolRunner(max_workers=jobs) as runner:
             assert _payload(runner.map(tasks)) == reference, (
-                f"stealing jobs={jobs} diverged"
+                f"pool jobs={jobs} diverged"
             )
-
-    with WorkerServer(jobs=2) as server:
-        with RemoteRunner(
-            [(server.host, server.port)], tick_seconds=0.1
-        ) as runner:
-            assert _payload(runner.map(tasks)) == reference, (
-                "remote loopback diverged"
-            )
-
-
-def test_worker_churn_never_reaches_the_output():
-    # A server that drops every connection after one chunk maximizes
-    # reassignment; the payload must not care.
-    tasks = _skew_tasks([0.03, 0.0, 0.0, 0.03, 0.0, 0.0, 0.03, 0.0])
-    reference = _payload(SerialRunner().map(tasks))
-    with WorkerServer(max_chunks_per_connection=1) as server:
-        with RemoteRunner(
-            [(server.host, server.port)], tick_seconds=0.2
-        ) as runner:
-            assert _payload(runner.map(tasks)) == reference
-        assert server.connections_served > 1
 
 
 def test_numpy_draws_are_bitwise_stable_across_backends():
@@ -89,11 +62,11 @@ def test_numpy_draws_are_bitwise_stable_across_backends():
         for i, seed in enumerate(spawn_task_seeds(99, 10))
     ]
     reference = _payload(SerialRunner().map(tasks))
-    with StealingRunner(max_workers=4, tick_seconds=0.1) as runner:
-        assert _payload(runner.map(tasks)) == reference
-    with WorkerServer(jobs=2) as server:
-        with RemoteRunner([(server.host, server.port)]) as runner:
-            assert _payload(runner.map(tasks)) == reference
+    for jobs in WORKER_COUNTS:
+        with PoolRunner(max_workers=jobs) as runner:
+            assert _payload(runner.map(tasks)) == reference, (
+                f"pool jobs={jobs} diverged"
+            )
 
 
 def test_chaos_matrix_is_byte_identical_on_every_backend():
@@ -111,10 +84,6 @@ def test_chaos_matrix_is_byte_identical_on_every_backend():
         )
 
     reference = render(SerialRunner())
-    with StealingRunner(max_workers=2, tick_seconds=0.1) as runner:
-        assert render(runner) == reference
-    with WorkerServer(jobs=2) as server:
-        with RemoteRunner(
-            [(server.host, server.port)], tick_seconds=0.2
-        ) as runner:
-            assert render(runner) == reference
+    for jobs in WORKER_COUNTS:
+        with PoolRunner(max_workers=jobs) as runner:
+            assert render(runner) == reference, f"pool jobs={jobs} diverged"

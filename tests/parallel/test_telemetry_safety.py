@@ -32,14 +32,6 @@ def _clean_backends():
     disable_tracing()
 
 
-def _task_series(series):
-    """Drop the fabric runner's own scheduling series (``fabric.*``)."""
-    return {
-        key: value for key, value in series.items()
-        if not key.startswith("fabric.")
-    }
-
-
 def _observe_once(amount):
     """Task body: one counter bump, one histogram sample, one gauge set."""
     metrics = get_metrics()
@@ -108,7 +100,7 @@ class TestNoDoubleCounting:
         parallel_state = registry.dump_state()
 
         assert parallel_values == serial_values
-        assert _task_series(parallel_state["counters"]) == serial_state["counters"]
+        assert parallel_state["counters"] == serial_state["counters"]
         hist_serial = serial_state["histograms"]["fabric_test.amount"]
         hist_parallel = parallel_state["histograms"]["fabric_test.amount"]
         assert hist_parallel["count"] == hist_serial["count"] == len(amounts)
@@ -117,7 +109,7 @@ class TestNoDoubleCounting:
         assert hist_parallel["max"] == hist_serial["max"]
 
     def test_gauges_merge_deterministically(self):
-        """Chunks fold in task order: the last task's gauge wins."""
+        """Worker states fold in task order: the last task's gauge wins."""
         amounts = [float(i) for i in range(10)]
         tasks = [Task(fn=_observe_once, args=(a,)) for a in amounts]
         states = []
@@ -125,7 +117,7 @@ class TestNoDoubleCounting:
             registry = enable_metrics(MetricsRegistry())
             with get_runner(2) as runner:
                 runner.map(tasks)
-            states.append(_task_series(registry.dump_state()["gauges"]))
+            states.append(registry.dump_state()["gauges"])
             disable_metrics()
         assert states[0] == states[1]
         assert states[0]["fabric_test.last_amount"] == amounts[-1]
