@@ -196,7 +196,7 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
 def _cmd_chaos(args: argparse.Namespace) -> int:
     import dataclasses
 
-    from .faults import DEFAULT_MATRIX, ChaosScenario, run_matrix
+    from .faults import DEFAULT_MATRIX, ChaosScenario, run_chaos
 
     if args.matrix:
         scenarios = [
@@ -219,7 +219,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             )
         ]
     with _runner(args) as runner:
-        reports = run_matrix(scenarios, runner=runner, store=_store(args))
+        reports = run_chaos(scenarios, runner=runner, store=_store(args))
     failures = 0
     for report in reports:
         print(report.render())

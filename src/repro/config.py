@@ -136,8 +136,6 @@ class NFTContractConfig:
 class RollupConfig:
     """Parameters of the optimistic rollup substrate (Sections II-A, V-A)."""
 
-    #: Fixed block interval of Bedrock, in abstract time units.
-    block_interval: int = 2
     #: Length of the fraud-proof challenge window, in L1 blocks.
     challenge_period_blocks: int = 7
     #: Bond every aggregator posts, in wei.
@@ -155,7 +153,6 @@ class RollupConfig:
     commit_backoff_base: float = 0.25
 
     def __post_init__(self) -> None:
-        _require(self.block_interval > 0, "block_interval must be positive")
         _require(self.challenge_period_blocks > 0,
                  "challenge_period_blocks must be positive")
         _require(self.aggregator_bond_wei > 0, "aggregator bond must be positive")

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from ..config import DefenseConfig, GenTranSeqConfig, RollupConfig
-from ..errors import RollupError
 from ..rollup.node import RollupNode, RoundReport
 from ..rollup.state import L2State
 from ..rollup.transaction import NFTTransaction
@@ -43,6 +42,8 @@ class GuardedRoundReport(RoundReport):
 class GuardedRollupNode(RollupNode):
     """A rollup node whose mempool runs the Section VIII guard."""
 
+    report_type = GuardedRoundReport
+
     def __init__(
         self,
         l2_state: L2State,
@@ -55,35 +56,12 @@ class GuardedRollupNode(RollupNode):
             config=defense_config, probe_config=probe_config
         )
 
-    def run_round(
-        self, collect_per_aggregator: Optional[int] = None
-    ) -> GuardedRoundReport:
-        """One round with pre-aggregation sanitisation."""
-        if not self.aggregators:
-            raise RollupError("no aggregators registered")
-        count = collect_per_aggregator or self.config.aggregator_mempool_size
-        report = GuardedRoundReport()
-        for aggregator in self.aggregators:
-            if not aggregator.alive:
-                report.skipped_aggregators.append(aggregator.address)
-                continue
-            if len(self.mempool) == 0:
-                break
-            if self.mempool.stalled:
-                report.stalled = True
-                break
-            collected = self.mempool.collect(min(count, len(self.mempool)))
-
-            plan = plan_demotion(self.guard, self.l2_state.copy(), collected)
-            report.plans.append(plan)
-            if plan.demoted:
-                self.mempool.requeue(plan.demoted)
-            batch_txs: Tuple[NFTTransaction, ...] = plan.kept
-            if not batch_txs:
-                continue
-
-            # Execution, bounded-retry commitment, inspection and failure
-            # recovery (requeue on error) are shared with the plain node.
-            self._process_and_commit(aggregator, batch_txs, report)
-        self.chain.seal_block()
-        return report
+    def _admit(
+        self, collected: Tuple[NFTTransaction, ...], report: GuardedRoundReport
+    ) -> Tuple[NFTTransaction, ...]:
+        """Sanitise one collection: demoted transactions are requeued."""
+        plan = plan_demotion(self.guard, self.l2_state.copy(), collected)
+        report.plans.append(plan)
+        if plan.demoted:
+            self.mempool.requeue(plan.demoted)
+        return plan.kept

@@ -14,9 +14,14 @@ seeded, fully deterministic fault schedule:
 * :mod:`~repro.faults.invariants` — :class:`InvariantChecker`: the
   conservation / no-loss / monotonicity / pending-window checks that
   must hold after every round, faults or not;
-* :mod:`~repro.faults.harness` — :class:`ChaosHarness`: runs seeded
-  end-to-end scenarios over a :class:`~repro.rollup.RollupNode`, checks
-  invariants each round, and reports through ``repro.telemetry``.
+* :mod:`~repro.faults.deployment` — :class:`Deployment`: the one
+  strict :class:`~repro.rollup.RollupNode` deployment and round loop
+  that stream lanes, matrix cells and chaos scenarios all run through:
+  fault plan on one event clock, invariant sweep after every round;
+* :mod:`~repro.faults.harness` — :class:`ChaosHarness`: seeded
+  end-to-end scenarios on a :class:`Deployment`, with user submissions
+  sent over a lossy simulated network, reported through
+  ``repro.telemetry``; :func:`run_chaos` runs a list of them.
 
 See ``docs/faults.md`` for the fault model and how to read the output.
 """
@@ -24,13 +29,14 @@ See ``docs/faults.md`` for the fault model and how to read the output.
 from .plan import FaultEvent, FaultKind, FaultPlan
 from .injector import ChaosTargets, FaultInjector, RecoveryRecord
 from .invariants import InvariantChecker, InvariantReport
+from .deployment import Deployment, DeploymentRound
 from .harness import (
     DEFAULT_MATRIX,
     ChaosHarness,
     ChaosReport,
     ChaosScenario,
     RoundRecord,
-    run_matrix,
+    run_chaos,
 )
 
 __all__ = [
@@ -42,10 +48,12 @@ __all__ = [
     "RecoveryRecord",
     "InvariantChecker",
     "InvariantReport",
+    "Deployment",
+    "DeploymentRound",
     "ChaosHarness",
     "ChaosReport",
     "ChaosScenario",
     "RoundRecord",
     "DEFAULT_MATRIX",
-    "run_matrix",
+    "run_chaos",
 ]

@@ -1,15 +1,16 @@
 """The strategies × defenses × fault-plans matrix runner.
 
-One *cell* is a complete, isolated rollup deployment — a seeded
-:class:`~repro.streaming.traffic.TrafficGenerator`, a
+One *cell* is a :class:`~repro.faults.deployment.Deployment` config — a
+seeded :class:`~repro.streaming.traffic.TrafficGenerator` feeding a
 :class:`~repro.streaming.mempool.ShardedMempool`, one
 :class:`~repro.matrix.defenses.DefendedAggregator` hosting the cell's
-strategy behind the cell's defense, an honest verifier — driven for a
-fixed number of rounds with the chaos harness's
-:class:`~repro.faults.InvariantChecker` sweeping after every round and
-an optional :class:`~repro.faults.FaultPlan` applied through the
-:class:`~repro.faults.FaultInjector` handlers.  Cells fan out over the
-``--jobs`` fabric as ordinary tasks, so a
+strategy behind the cell's defense, an honest verifier and an optional
+:class:`~repro.faults.FaultPlan` on the deployment's clock — driven for
+a fixed number of rounds with the invariant sweep after every round.
+Its honest baseline is the same config with
+:class:`~repro.strategies.HonestStrategy` and no fault plan; the
+baseline's sweep violations count against the cell.  Cells fan out over
+the ``--jobs`` pool as ordinary tasks, so a
 :class:`~repro.store.ResultStore` memoizes each cell individually and a
 killed grid resumes from its last completed cell.
 
@@ -28,19 +29,15 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..config import RollupConfig, _require
+from ..config import _require
 from ..crypto import hash_value
 from ..errors import ReproError
-from ..faults.injector import ChaosTargets, FaultInjector
-from ..faults.invariants import InvariantChecker
+from ..faults.deployment import Deployment
 from ..faults.plan import FaultEvent, FaultKind, FaultPlan
 from ..parallel import Task, TaskRunner, get_runner, spawn_task_seeds
-from ..rollup.node import RollupNode
-from ..rollup.state import ExecutionMode
 from ..rollup.verifier import Verifier
-from ..sim.events import EventQueue
 from ..store import ResultStore
-from ..strategies.base import HonestStrategy
+from ..strategies.base import BaseStrategy, HonestStrategy
 from ..strategies.registry import STRATEGIES, StrategyContext
 from ..streaming.mempool import ShardedMempool
 from ..streaming.traffic import StreamTrafficConfig, TrafficGenerator
@@ -264,49 +261,72 @@ class CellResult:
         }
 
 
-def _honest_baseline_delta(
+def _deploy(
+    config: MatrixConfig,
+    traffic: TrafficGenerator,
+    strategy: BaseStrategy,
+    defense_name: str,
+    plan: Optional[FaultPlan] = None,
+) -> Tuple[Deployment, DefendedAggregator]:
+    """One cell's deployment: ``strategy`` behind the named defense.
+
+    The strategy's accounts are funded before the deployment's invariant
+    checker snapshots its conservation baselines.
+    """
+    mempool = ShardedMempool(shards=config.shards)
+    aggregator = DefendedAggregator(
+        _AGGREGATOR_ADDRESS,
+        strategy,
+        DEFENSES.create(defense_name),
+        backlog=mempool.pending,
+    )
+    deployment = Deployment(
+        traffic.pre_state,
+        batch_size=config.batch_size,
+        mempool=mempool,
+        aggregators=[aggregator],
+        verifiers=[Verifier("matrix-ver")],
+        funding=[
+            (account.address, account.balance_eth)
+            for account in strategy.accounts()
+            if account.balance_eth > 0
+        ],
+        arrivals=lambda: traffic.next_batch(config.submit_per_batch),
+        plan=plan,
+    )
+    return deployment, aggregator
+
+
+def _wealth(deployment: Deployment, addresses: Tuple[str, ...]) -> float:
+    state = deployment.node.l2_state
+    return sum(state.wealth(address) for address in addresses)
+
+
+def _honest_baseline(
     config: MatrixConfig,
     defense_name: str,
     addresses: Tuple[str, ...],
-) -> float:
+) -> Tuple[float, Tuple[str, ...]]:
     """Wealth delta of ``addresses`` in an honest run of this cell.
 
-    Same traffic stream, same defense, same round schedule — but the
-    aggregator hosts :class:`HonestStrategy`, so the delta is the purely
-    organic drift of those accounts (IFUs trade on their own; adversary
-    accounts sit idle).  Subtracting it isolates the attack's own lift.
+    The same cell with :class:`HonestStrategy` and no fault plan: same
+    traffic stream, same defense, same round schedule, so the delta is
+    the purely organic drift of those accounts (IFUs trade on their
+    own; adversary accounts sit idle).  Subtracting it isolates the
+    attack's own lift.  Also returns the baseline's invariant
+    violations, which count against the cell.
     """
     if not addresses:
-        return 0.0
+        return 0.0, ()
     traffic = TrafficGenerator(config.traffic_config(), seed=config.seed)
-    mempool = ShardedMempool(shards=config.shards)
-    cell_state = traffic.pre_state.copy()
-    cell_state.mode = ExecutionMode.STRICT
-    node = RollupNode(
-        l2_state=cell_state,
-        config=RollupConfig(
-            aggregator_mempool_size=config.batch_size,
-            challenge_period_blocks=2,
-        ),
-        mempool=mempool,
-    )
-    node.add_aggregator(
-        DefendedAggregator(
-            _AGGREGATOR_ADDRESS,
-            HonestStrategy(),
-            DEFENSES.create(defense_name),
-            backlog=mempool.pending,
-        )
-    )
-    node.add_verifier(Verifier("matrix-ver"))
-    before = sum(node.l2_state.wealth(address) for address in addresses)
-    for _ in range(config.rounds):
-        for tx in traffic.next_batch(config.submit_per_batch):
-            node.submit(tx)
-        node.run_round(config.batch_size)
-        node.finalize_ready_batches()
-    after = sum(node.l2_state.wealth(address) for address in addresses)
-    return after - before
+    deployment, _ = _deploy(config, traffic, HonestStrategy(), defense_name)
+    before = _wealth(deployment, addresses)
+    violations = [
+        f"baseline round {record.index}: {violation}"
+        for record in deployment.run(config.rounds)
+        for violation in record.sweep.violations
+    ]
+    return _wealth(deployment, addresses) - before, tuple(violations)
 
 
 def _run_cell(
@@ -332,63 +352,25 @@ def _run_cell(
         # leaderboard rows face identical victims.  The cell seed only
         # parameterizes the strategy (e.g. its DQN training).
         traffic = TrafficGenerator(config.traffic_config(), seed=config.seed)
-        mempool = ShardedMempool(shards=config.shards)
-        # STRICT execution, exactly like the streaming lanes: fee-
-        # priority collection can break generation order, and a strict
-        # sequencer records infeasible transactions as skipped — which
-        # is also what makes revert-spam losers *revert*.
-        cell_state = traffic.pre_state.copy()
-        cell_state.mode = ExecutionMode.STRICT
-        node = RollupNode(
-            l2_state=cell_state,
-            config=RollupConfig(
-                aggregator_mempool_size=config.batch_size,
-                challenge_period_blocks=2,
-            ),
-            mempool=mempool,
-        )
         strategy = STRATEGIES.create(
             strategy_name,
             StrategyContext(
                 ifus=traffic.ifus,
                 seed=cell_seed,
                 preset=config.preset,
-                initial_price=cell_state.unit_price,
+                initial_price=traffic.pre_state.unit_price,
             ),
         )
-        defense = DEFENSES.create(defense_name)
-        aggregator = DefendedAggregator(
-            _AGGREGATOR_ADDRESS, strategy, defense, backlog=mempool.pending
+        deployment, aggregator = _deploy(
+            config, traffic, strategy, defense_name,
+            build_fault_plan(fault_plan_name, config.rounds),
         )
-        node.add_aggregator(aggregator)
-        node.add_verifier(Verifier("matrix-ver"))
-        # Fund the strategy's accounts *before* the invariant checker
-        # snapshots its conservation baselines.
-        for account in strategy.accounts():
-            if account.balance_eth > 0:
-                node.fund_and_deposit(account.address, account.balance_eth)
-        checker = InvariantChecker(node)
-        injector = FaultInjector(
-            EventQueue(),
-            ChaosTargets(
-                mempool=mempool,
-                aggregators={aggregator.address: aggregator},
-                inject_commit_failures=node.inject_commit_failures,
-            ),
-        )
-        plan = build_fault_plan(fault_plan_name, config.rounds)
-        events_by_round: Dict[int, List[FaultEvent]] = {}
-        if plan is not None:
-            for event in plan.events:
-                events_by_round.setdefault(int(event.time), []).append(event)
 
         beneficiaries = strategy.beneficiaries()
-        wealth_before = sum(
-            node.l2_state.wealth(address) for address in beneficiaries
-        )
+        wealth_before = _wealth(deployment, beneficiaries)
         violations: List[str] = []
         committed_orders: List[Tuple[str, ...]] = []
-        inserted_landed: set = set()
+        inserted_landed = 0
         marked_hashes: set = set()
         marked_fees: Dict[str, float] = {}
         adversary_fees = 0.0
@@ -398,12 +380,8 @@ def _run_cell(
         stalled_rounds = 0
         commit_retries = 0
 
-        for round_index in range(config.rounds):
-            for event in events_by_round.get(round_index, ()):
-                injector.apply(event)
-            for tx in traffic.next_batch(config.submit_per_batch):
-                checker.note_accepted(node.submit(tx))
-            report = node.run_round(config.batch_size)
+        for record in deployment.run(config.rounds):
+            report = record.report
             if report.stalled:
                 stalled_rounds += 1
             commit_retries += len(report.commit_retries)
@@ -413,21 +391,12 @@ def _run_cell(
                     marked_hashes.add(mark)
                 for tx in action.inserted:
                     marked_fees[tx.tx_hash] = tx.total_fee
+            # Each insertion's inclusion fee is charged to the adversary
+            # the first time it lands.
+            inserted_landed += len(record.inserted)
+            for tx in record.inserted:
+                adversary_fees += tx.total_fee
             for result in report.results:
-                collected_hashes = {
-                    tx.tx_hash for tx in result.original_order
-                }
-                for tx in result.batch.transactions:
-                    if (
-                        tx.tx_hash not in collected_hashes
-                        and tx.tx_hash not in inserted_landed
-                    ):
-                        # Adversary-authored insertion landing on chain:
-                        # legitimize it for the conjured-tx invariant and
-                        # charge its inclusion fee to the adversary.
-                        inserted_landed.add(tx.tx_hash)
-                        checker.note_accepted(tx.tx_hash)
-                        adversary_fees += tx.total_fee
                 for step in result.trace.steps:
                     tx_hash = step.tx.tx_hash
                     if tx_hash in marked_hashes:
@@ -440,19 +409,14 @@ def _run_cell(
                 committed_orders.append(
                     tuple(tx.tx_hash for tx in result.batch.transactions)
                 )
-            checker.on_report(report)
-            node.finalize_ready_batches()
-            sweep = checker.check(round_index)
-            for violation in sweep.violations:
-                violations.append(f"round {round_index}: {violation}")
+            for violation in record.sweep.violations:
+                violations.append(f"round {record.index}: {violation}")
 
-        wealth_after = sum(
-            node.l2_state.wealth(address) for address in beneficiaries
-        )
-        wealth_delta = wealth_after - wealth_before
-        baseline_delta = _honest_baseline_delta(
+        wealth_delta = _wealth(deployment, beneficiaries) - wealth_before
+        baseline_delta, baseline_violations = _honest_baseline(
             config, defense_name, beneficiaries
         )
+        violations.extend(baseline_violations)
         attack_lift = wealth_delta - baseline_delta
         get_metrics().counter(
             "matrix.cells_completed", strategy=strategy_name,
@@ -465,8 +429,8 @@ def _run_cell(
             seed=cell_seed,
             rounds=config.rounds,
             submitted=traffic.generated,
-            included=checker.included_surviving_count(),
-            pending=len(mempool),
+            included=deployment.checker.included_surviving_count(),
+            pending=len(deployment.node.mempool),
             batches=len(committed_orders),
             wealth_delta_eth=wealth_delta,
             baseline_wealth_delta_eth=baseline_delta,
@@ -475,7 +439,7 @@ def _run_cell(
             revert_fees_eth=revert_fees,
             net_profit_eth=attack_lift - adversary_fees,
             inserted_attempted=aggregator.inserted_total,
-            inserted_landed=len(inserted_landed),
+            inserted_landed=inserted_landed,
             revert_marked_landed=revert_marked_landed,
             reverts=reverts,
             detections=aggregator.detections,
@@ -485,10 +449,10 @@ def _run_cell(
             commit_retries=commit_retries,
             stalled_rounds=stalled_rounds,
             faults_applied=tuple(
-                description for _, description in injector.applied
+                description for _, description in deployment.injector.applied
             ),
             violations=tuple(violations),
-            state_root=node.current_state_root(),
+            state_root=deployment.node.current_state_root(),
             order_digest=hash_value(
                 [list(order) for order in committed_orders]
             ),

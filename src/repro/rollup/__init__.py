@@ -23,7 +23,6 @@ from .batch import Batch, build_batch
 from .fraud_proof import FraudProof, state_root
 from .verifier import Verifier, VerificationReport
 from .node import RollupNode, RoundReport
-from .sequencer import L2Block, Sequencer
 from .fee_market import FeeMarket
 from .bisection import (
     BisectionGame,
@@ -57,8 +56,6 @@ __all__ = [
     "VerificationReport",
     "RollupNode",
     "RoundReport",
-    "L2Block",
-    "Sequencer",
     "FeeMarket",
     "BisectionGame",
     "BisectionResult",

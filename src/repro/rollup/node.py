@@ -104,6 +104,10 @@ class RoundReport:
 class RollupNode:
     """A complete in-process optimistic rollup deployment."""
 
+    #: What :meth:`run_round` returns; a subclass that records more per
+    #: round extends :class:`RoundReport`.
+    report_type = RoundReport
+
     def __init__(
         self,
         l2_state: L2State,
@@ -215,7 +219,7 @@ class RollupNode:
         if not self.aggregators:
             raise RollupError("no aggregators registered")
         count = collect_per_aggregator or self.config.aggregator_mempool_size
-        report = RoundReport()
+        report = self.report_type()
         for aggregator in self.aggregators:
             if not aggregator.alive:
                 report.skipped_aggregators.append(aggregator.address)
@@ -226,9 +230,21 @@ class RollupNode:
                 report.stalled = True
                 break
             collected = self.mempool.collect(min(count, len(self.mempool)))
-            self._process_and_commit(aggregator, collected, report)
+            admitted = self._admit(collected, report)
+            if admitted:
+                self._process_and_commit(aggregator, admitted, report)
         self.chain.seal_block()
         return report
+
+    def _admit(
+        self, collected: Tuple[NFTTransaction, ...], report: RoundReport
+    ) -> Tuple[NFTTransaction, ...]:
+        """The part of one collection this round executes: all of it.
+
+        The hook a guarded node overrides to sanitise a collection; what
+        it holds back it must return to the mempool itself.
+        """
+        return collected
 
     def _process_and_commit(
         self,

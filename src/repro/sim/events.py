@@ -77,6 +77,20 @@ class EventQueue:
         self._processed += 1
         return event
 
+    def run_before(self, time: float) -> int:
+        """Fire every event due strictly before ``time``, then stand at it.
+
+        An event due at exactly ``time`` stays queued, so whatever the
+        caller does at ``time`` happens before it.  Returns the number of
+        events executed.
+        """
+        executed = 0
+        while self._heap and self._heap[0].time < time:
+            self.step()
+            executed += 1
+        self._now = max(self._now, time)
+        return executed
+
     def run(
         self, until: Optional[float] = None, max_events: int = 1_000_000
     ) -> int:

@@ -1,13 +1,13 @@
 """The always-on streaming pipeline: lanes of rollup + scanner + traffic.
 
-One *lane* is a complete, independent rollup deployment — its own
-:class:`~repro.streaming.traffic.TrafficGenerator`, a
+One *lane* is a :class:`~repro.faults.deployment.Deployment` config —
+its own :class:`~repro.streaming.traffic.TrafficGenerator` feeding a
 :class:`~repro.streaming.mempool.ShardedMempool`, one adversarial
 aggregator routed through a :class:`~repro.streaming.scanner.BatchScanner`
 and an honest verifier — driven for a fixed number of batch intervals
-with a full :class:`~repro.faults.InvariantChecker` sweep after every
-batch.  Lanes fan out over the parallel fabric (``--jobs``), each from
-an independent seed spawned off the stream seed.
+with the deployment's invariant sweep after every batch.  Lanes fan out
+over the process pool (``--jobs``), each from an independent seed
+spawned off the stream seed.
 
 Determinism contract: everything in a lane's
 :meth:`LaneReport.deterministic_payload` — transaction streams, batch
@@ -28,13 +28,11 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..config import RollupConfig, _require
+from ..config import _require
 from ..crypto import hash_value
-from ..faults.invariants import InvariantChecker
+from ..faults.deployment import Deployment
 from ..parallel import Task, TaskRunner, get_runner, spawn_task_seeds
 from ..rollup.aggregator import AdversarialAggregator
-from ..rollup.node import RollupNode
-from ..rollup.state import ExecutionMode
 from ..rollup.verifier import Verifier
 from ..store import ResultStore
 from .mempool import ShardedMempool
@@ -123,65 +121,45 @@ def _run_lane(config: StreamConfig, lane: int,
     lane_seed = config.seed if seed is None else int(seed)
     traffic = TrafficGenerator(config.traffic, seed=lane_seed)
     mempool = ShardedMempool(shards=config.shards)
-    # The lane executes STRICT: fee-priority collection breaks generation
-    # order across batch boundaries, so a transfer can surface before the
-    # mint that funds its sender — BATCH netting would let it execute and
-    # leave negative net inventory past batch end.  A strict sequencer
-    # records it as skipped instead, the honest-deployment semantic the
-    # invariant checker assumes.
-    lane_state = traffic.pre_state.copy()
-    lane_state.mode = ExecutionMode.STRICT
-    node = RollupNode(
-        l2_state=lane_state,
-        config=RollupConfig(
-            aggregator_mempool_size=config.batch_size,
-            challenge_period_blocks=2,
-        ),
-        mempool=mempool,
-    )
     store = None
     if config.cache_dir is not None:
         store = ResultStore(config.cache_dir).namespaced("stream")
     scanner = BatchScanner(traffic.ifus, config=config.scanner, store=store)
-    node.add_aggregator(
-        AdversarialAggregator(
+    deployment = Deployment(
+        traffic.pre_state,
+        batch_size=config.batch_size,
+        mempool=mempool,
+        aggregators=[AdversarialAggregator(
             f"stream-agg-{lane}", strategy=scanner.as_strategy()
-        )
+        )],
+        verifiers=[Verifier(f"stream-ver-{lane}")],
+        arrivals=lambda: traffic.next_batch(config.submit_per_batch),
     )
-    node.add_verifier(Verifier(f"stream-ver-{lane}"))
-    checker = InvariantChecker(node)
 
     violations: List[str] = []
     committed_orders: List[Tuple[str, ...]] = []
     wall_ms: List[float] = []
-    for interval in range(config.duration_batches):
-        for tx in traffic.next_batch(config.submit_per_batch):
-            checker.note_accepted(node.submit(tx))
-        started = time.perf_counter()
-        report = node.run_round(config.batch_size)
-        wall_ms.append((time.perf_counter() - started) * 1000.0)
-        checker.on_report(report)
-        node.finalize_ready_batches()
-        for result in report.results:
+    for record in deployment.run(config.duration_batches):
+        wall_ms.append(record.wall_ms)
+        for result in record.report.results:
             committed_orders.append(
                 tuple(tx.tx_hash for tx in result.batch.transactions)
             )
-        sweep = checker.check(interval)
-        for violation in sweep.violations:
-            violations.append(f"batch {interval}: {violation}")
+        for violation in record.sweep.violations:
+            violations.append(f"batch {record.index}: {violation}")
 
     return LaneReport(
         lane=lane,
         seed=lane_seed,
         batches=config.duration_batches,
         submitted=traffic.generated,
-        included=checker.included_surviving_count(),
+        included=deployment.checker.included_surviving_count(),
         pending=len(mempool),
         violations=tuple(violations),
         actions=scanner.action_counts(),
         profit_total=scanner.profit_total,
         hit_rate=scanner.hit_rate,
-        state_root=node.current_state_root(),
+        state_root=deployment.node.current_state_root(),
         order_digest=hash_value([list(order) for order in committed_orders]),
         batch_wall_ms=tuple(wall_ms),
     )

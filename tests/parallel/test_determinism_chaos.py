@@ -70,7 +70,7 @@ def test_numpy_draws_are_bitwise_stable_across_backends():
 
 
 def test_chaos_matrix_is_byte_identical_on_every_backend():
-    from repro.faults import DEFAULT_MATRIX, run_matrix
+    from repro.faults import DEFAULT_MATRIX, run_chaos
 
     scenarios = [
         dataclasses.replace(scenario, rounds=3)
@@ -80,7 +80,7 @@ def test_chaos_matrix_is_byte_identical_on_every_backend():
     def render(runner):
         return b"\n".join(
             report.to_json().encode("utf-8")
-            for report in run_matrix(scenarios, runner=runner)
+            for report in run_chaos(scenarios, runner=runner)
         )
 
     reference = render(SerialRunner())

@@ -103,3 +103,20 @@ class TestRun:
         queue.schedule(100.0, lambda: None)
         assert queue.run(until=50.0, max_events=5) == 5
         assert queue.pending == 1
+
+    def test_run_before_leaves_events_due_at_the_bound(self, queue):
+        order = []
+        queue.schedule(1.0, lambda: order.append("early"))
+        queue.schedule(2.0, lambda: order.append("at-bound"))
+        assert queue.run_before(2.0) == 1
+        assert order == ["early"]
+        assert queue.now == 2.0
+        assert queue.pending == 1
+        queue.run()
+        assert order == ["early", "at-bound"]
+
+    def test_run_before_never_moves_the_clock_back(self, queue):
+        queue.schedule(3.0, lambda: None)
+        queue.run()
+        queue.run_before(1.0)
+        assert queue.now == 3.0

@@ -192,11 +192,11 @@ class TestChaosNamespace:
         return [dataclasses.replace(DEFAULT_MATRIX[0], rounds=2)]
 
     def test_chaos_keys_are_namespaced(self, tmp_path):
-        from repro.faults import run_matrix
+        from repro.faults import run_chaos
 
         store = ResultStore(tmp_path)
         with get_runner(1, store=store) as runner:
-            run_matrix(self._scenario(), runner=runner)
+            run_chaos(self._scenario(), runner=runner)
             # The clean-run store handle is restored afterwards.
             assert runner.store is store
         keys = store.keys()
@@ -204,14 +204,14 @@ class TestChaosNamespace:
         assert all(key.startswith("chaos:") for key in keys)
 
     def test_chaos_warm_rerun_hits(self, tmp_path):
-        from repro.faults import run_matrix
+        from repro.faults import run_chaos
 
         scenario = self._scenario()
         with get_runner(1, store=ResultStore(tmp_path)) as runner:
-            cold = run_matrix(scenario, runner=runner)
+            cold = run_chaos(scenario, runner=runner)
         warm_store = ResultStore(tmp_path)
         with get_runner(1, store=warm_store) as runner:
-            warm = run_matrix(scenario, runner=runner)
+            warm = run_chaos(scenario, runner=runner)
         assert warm_store.stats.hits == 1
         assert warm[0].to_json() == cold[0].to_json()
 
