@@ -1,9 +1,10 @@
-"""Safety invariants checked after every chaos round.
+"""Safety invariants checked after every deployment round.
 
-The checker is wired to one :class:`~repro.rollup.RollupNode` and fed
-every round report.  It maintains a shadow ledger of what *should* be
-true given the surviving (non-reverted) batches, and verifies after each
-round that:
+The checker is wired to one :class:`~repro.rollup.RollupNode` by its
+:class:`~repro.faults.deployment.Deployment` and fed every round report
+— in stream lanes, matrix cells and chaos scenarios alike.  It
+maintains a shadow ledger of what *should* be true given the surviving
+(non-reverted) batches, and verifies after each round that:
 
 1. **ETH conservation (L2)** — the sum of L2 balances equals the initial
    sum minus the mint debits of surviving batches (transfers and fees

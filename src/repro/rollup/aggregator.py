@@ -60,7 +60,7 @@ class Aggregator:
         self.address = address
         self.ovm = ovm or OVM()
         #: Liveness flag the fault-injection layer toggles; a crashed
-        #: aggregator is skipped by the node/sequencer until restarted.
+        #: aggregator is skipped by the node until restarted.
         self.alive = True
         self.crash_count = 0
 

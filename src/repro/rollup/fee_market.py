@@ -7,10 +7,9 @@ most 1/8 per block.  :class:`FeeMarket` implements that controller and a
 simple bidder model users can consult to pick a priority fee for a
 desired inclusion urgency.
 
-Connected to the sequencer: every produced block's fullness updates the
-base fee, so sustained congestion prices out low-urgency traffic — which
-also shrinks the adversarial aggregator's reorderable surface (fewer
-transactions per slot).
+Nothing in the pipeline drives it yet: :meth:`FeeMarket.on_block` takes
+one block's fullness, and only the controller's own tests feed it.
+Generated transactions carry fixed unitless fees.
 """
 
 from __future__ import annotations
