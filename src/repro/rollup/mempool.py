@@ -24,7 +24,8 @@ Ordering guarantees
 * The pending set is indexed by a lazy-deletion binary heap, so
   ``collect(k)`` costs O(k log N) instead of the full O(N log N) sort —
   the difference between a batch experiment and a streaming pipeline
-  draining millions of submissions.
+  draining millions of submissions.  ``peek(k)`` walks the same heap
+  without popping it.
 
 A stalled pool (fault injection) raises
 :class:`~repro.errors.MempoolStalledError` from ``collect`` rather than
@@ -147,11 +148,23 @@ class BedrockMempool:
     def peek(self, count: int) -> Tuple[NFTTransaction, ...]:
         """The next ``count`` transactions in priority order (no removal).
 
-        Exactly the prefix ``collect(count)`` would return.
+        Exactly the prefix ``collect(count)`` would return.  Walks the
+        heap best-first from its root, skipping stale entries: a live
+        entry sorts exactly as :meth:`_priority` does, so this costs
+        O((count + stale) log N) instead of a pass over every pending
+        transaction.
         """
-        return tuple(
-            heapq.nsmallest(count, self._pending.values(), key=self._priority)
-        )
+        heap = self._heap
+        selected: List[NFTTransaction] = []
+        frontier = [(heap[0], 0)] if heap else []
+        while frontier and len(selected) < count:
+            (_, _, _, seq, tx_hash), index = heapq.heappop(frontier)
+            if self._order.get(tx_hash) == seq:
+                selected.append(self._pending[tx_hash])
+            for child in (2 * index + 1, 2 * index + 2):
+                if child < len(heap):
+                    heapq.heappush(frontier, (heap[child], child))
+        return tuple(selected)
 
     def collect(self, count: int) -> Tuple[NFTTransaction, ...]:
         """Remove and return the top ``count`` transactions by fee priority.

@@ -114,7 +114,13 @@ class CountingInventory(Dict[str, int]):
         return super().__getitem__(key)
 
     def copy(self) -> "CountingInventory":
-        return CountingInventory(dict.copy(self))
+        # The counters are exact for this dict, so they carry over as
+        # they are; re-inserting every key would recount them.
+        clone = CountingInventory()
+        dict.update(clone, self)
+        clone.total = self.total
+        clone.negative_count = self.negative_count
+        return clone
 
 
 class L2State:

@@ -1,6 +1,10 @@
 """Tests for Bedrock's private mempool."""
 
+import dataclasses
+import heapq
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import MempoolError, MempoolStalledError
 from repro.rollup import BedrockMempool, NFTTransaction, TxKind
@@ -196,3 +200,109 @@ class TestRequeue:
         pool.submit(make_tx("high", priority=0.8))
         pool.submit(make_tx("mid", priority=0.4))
         assert [tx.sender for tx in pool.pending()] == ["high", "mid", "low"]
+
+
+#: Few distinct fees, senders, nonces and stamps, so that fee ties and
+#: full ``(fee, stamp, nonce)`` ties both happen.
+_FEES = st.sampled_from([0.0, 0.1, 0.25])
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("submit"), st.integers(0, 2), _FEES, st.integers(0, 1)),
+        st.tuples(
+            st.just("admit_stamped"), st.integers(0, 2), _FEES,
+            st.integers(0, 1), st.integers(1, 2),
+        ),
+        st.tuples(st.just("collect"), st.integers(1, 4)),
+        st.tuples(st.just("drop"), st.integers(0, 63)),
+        st.tuples(st.just("requeue"), st.integers(0, 63)),
+        st.tuples(st.just("stall")),
+        st.tuples(st.just("resume")),
+    ),
+    max_size=40,
+)
+
+
+class TestPeekAgainstFullScan:
+    """``peek`` walks the lazy-deletion heap; the reference is the full
+    ``heapq.nsmallest`` scan of every pending transaction it replaced."""
+
+    @staticmethod
+    def _reference(pending, count):
+        # pending: tx_hash -> (tx, admission order)
+        return [
+            tx.tx_hash
+            for tx, _ in heapq.nsmallest(
+                count,
+                pending.values(),
+                key=lambda entry: (
+                    -entry[0].total_fee, entry[0].submitted_at,
+                    entry[0].nonce, entry[1],
+                ),
+            )
+        ]
+
+    @settings(max_examples=150, deadline=None)
+    @given(_OPS)
+    def test_peek_equals_nsmallest_over_pending(self, ops):
+        pool = BedrockMempool()
+        pending = {}
+        collected = []
+        admitted = arrival = 0
+        stalled = False
+        for op, *args in ops:
+            # A transaction entering the pool, as the pool will hold it.
+            entering = None
+            if op == "submit":
+                sender, fee, nonce = args
+                tx = make_tx(f"u{sender}", priority=fee, nonce=nonce)
+                entering = dataclasses.replace(tx, submitted_at=arrival + 1)
+                enter = pool.submit
+            elif op == "admit_stamped":
+                sender, fee, nonce, stamp = args
+                tx = entering = NFTTransaction(
+                    kind=TxKind.MINT, sender=f"u{sender}", priority_fee=fee,
+                    nonce=nonce, submitted_at=stamp, label="stamped",
+                )
+                enter = pool.admit_stamped
+            elif op == "requeue" and collected:
+                tx = entering = collected.pop(args[0] % len(collected))
+                enter = lambda tx: pool.requeue([tx])
+            elif op == "collect":
+                (count,) = args
+                if stalled:
+                    with pytest.raises(MempoolStalledError):
+                        pool.collect(count)
+                else:
+                    taken = pool.collect(count)
+                    assert [tx.tx_hash for tx in taken] == self._reference(
+                        pending, count
+                    )
+                    for tx in taken:
+                        del pending[tx.tx_hash]
+                    collected.extend(taken)
+            elif op == "drop" and pending:
+                tx_hash = sorted(pending)[args[0] % len(pending)]
+                assert pool.drop(tx_hash).tx_hash == tx_hash
+                del pending[tx_hash]
+            elif op in ("stall", "resume"):
+                stalled = op == "stall"
+                getattr(pool, op)()
+
+            if entering is not None:
+                held = {tx.arrival_identity for tx, _ in pending.values()}
+                if entering.arrival_identity in held:
+                    with pytest.raises(MempoolError):
+                        enter(tx)
+                else:
+                    enter(tx)
+                    arrival += op == "submit"
+                    admitted += 1
+                    pending[entering.tx_hash] = (entering, admitted)
+                    assert entering.tx_hash in pool
+
+            assert len(pool) == len(pending)
+            for count in (1, 2, 3, len(pending), len(pending) + 2):
+                assert (
+                    [tx.tx_hash for tx in pool.peek(count)]
+                    == self._reference(pending, count)
+                )

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.config import NFTContractConfig
 from repro.errors import InvalidTransactionError
 from repro.rollup import ExecutionMode, L2State, NFTTransaction, TxKind
+from repro.rollup.state import CountingInventory
 from repro.tokens import TxValidity
 
 
@@ -160,6 +161,45 @@ class TestCopy:
 
     def test_canonical_items_stable(self, basic_state):
         assert basic_state.canonical_items() == basic_state.copy().canonical_items()
+
+    def test_copy_keeps_counters_of_a_transient_negative_state(self, pt_config):
+        state = L2State(
+            pt_config, balances={"a": 5.0, "b": 5.0}, inventory={"c": 2},
+            mode=ExecutionMode.BATCH,
+        )
+        state.apply(transfer("a", "b"))  # a goes to -1 mid-batch
+        clone = state.copy()
+        # The reference: re-insert every key, which recounts both counters.
+        recounted = CountingInventory(dict.copy(state.inventory))
+        assert clone.inventory == recounted == {"a": -1, "b": 1, "c": 2}
+        assert clone.inventory.total == recounted.total == 2
+        assert clone.inventory.negative_count == recounted.negative_count == 1
+        assert not clone.inventory_is_consistent()
+
+        clone.apply(mint("a"))  # nets the copy back to 0
+        clone.inventory["c"] = 7
+        assert clone.inventory_is_consistent()
+        assert state.inventory == {"a": -1, "b": 1, "c": 2}
+        assert state.inventory.total == 2
+        assert state.inventory.negative_count == 1
+        assert state.minted_count == 2
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.dictionaries(st.text(max_size=3), st.integers(-5, 5), max_size=12))
+    def test_property_inventory_copy_matches_recount(self, entries):
+        inventory = CountingInventory(entries)
+        clone = inventory.copy()
+        recounted = CountingInventory(dict.copy(inventory))
+        assert type(clone) is CountingInventory
+        assert clone == recounted == entries
+        assert (clone.total, clone.negative_count) == (
+            recounted.total, recounted.negative_count,
+        )
+        clone["new"] = -3
+        assert "new" not in inventory
+        assert (inventory.total, inventory.negative_count) == (
+            recounted.total, recounted.negative_count,
+        )
 
 
 class TestInvariants:

@@ -1,12 +1,53 @@
 """Traffic generator: determinism, feasibility, population shape."""
 
+import bisect
+
+import numpy as np
 import pytest
 
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 from repro.rollup.state import ExecutionMode
+from repro.rollup.transaction import TxKind
 from repro.streaming import StreamTrafficConfig, TrafficGenerator
+from repro.streaming.traffic import _draw_cdf
 
 SMALL = StreamTrafficConfig(num_users=50, max_supply=256)
+
+
+def _zipf(num_users, exponent=1.1):
+    ranks = np.arange(1, num_users + 1, dtype=np.float64)
+    weights = ranks ** -exponent
+    return weights / weights.sum()
+
+
+def _kind_weights(kinds, mix=(0.35, 0.50, 0.15)):
+    table = dict(zip((TxKind.MINT, TxKind.TRANSFER, TxKind.BURN), mix))
+    weights = np.array([table[kind] for kind in kinds])
+    if weights.sum() == 0:
+        weights = np.ones(len(kinds))
+    return weights / weights.sum()
+
+
+#: Every kind tuple ``_feasible_kinds`` can return.
+FEASIBLE_KINDS = (
+    (TxKind.MINT,),
+    (TxKind.MINT, TxKind.TRANSFER, TxKind.BURN),
+    (TxKind.TRANSFER, TxKind.BURN),
+)
+
+
+class ChoiceTrafficGenerator(TrafficGenerator):
+    """The reference: every draw through ``Generator.choice(p=...)``,
+    which rebuilds its CDF on each call, as the generator once did."""
+
+    def _pick_user(self):
+        return self.users[
+            int(self._rng.choice(self.config.num_users, p=self._weights))
+        ]
+
+    def _pick_kind(self, kinds):
+        weights = _kind_weights(kinds, self.config.tx_type_mix)
+        return kinds[int(self._rng.choice(len(kinds), p=weights))]
 
 
 class TestDeterminism:
@@ -29,6 +70,45 @@ class TestDeterminism:
     def test_config_seed_is_default(self):
         cfg = StreamTrafficConfig(num_users=50, max_supply=256, seed=7)
         assert TrafficGenerator(cfg).seed == 7
+
+
+class TestDrawMatchesNumpyChoice:
+    """A bisect over the precomputed CDF draws what ``choice`` drew."""
+
+    @pytest.mark.parametrize(
+        "weights",
+        [_zipf(400), _zipf(48)]
+        + [_kind_weights(kinds) for kinds in FEASIBLE_KINDS]
+        + [_kind_weights(FEASIBLE_KINDS[2], mix=(1.0, 0.0, 0.0))],
+        ids=["zipf-400", "zipf-48", "mint", "mint-transfer-burn",
+             "transfer-burn", "all-zero-weights"],
+    )
+    def test_same_indices_and_generator_state(self, weights):
+        cdf = _draw_cdf(weights)
+        for seed in range(5):
+            ours = np.random.default_rng(seed)
+            reference = np.random.default_rng(seed)
+            drawn = [bisect.bisect_right(cdf, ours.random()) for _ in range(4000)]
+            expected = [
+                int(reference.choice(len(weights), p=weights))
+                for _ in range(4000)
+            ]
+            assert drawn == expected
+            assert ours.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize("num_users", [400, 48])
+    def test_stream_matches_choice_draws(self, num_users):
+        config = StreamTrafficConfig(num_users=num_users, max_supply=1024)
+        ours = TrafficGenerator(config, seed=3)
+        reference = ChoiceTrafficGenerator(config, seed=3)
+        assert (
+            [tx.tx_hash for tx in ours.next_batch(1500)]
+            == [tx.tx_hash for tx in reference.next_batch(1500)]
+        )
+        assert (
+            ours._rng.bit_generator.state
+            == reference._rng.bit_generator.state
+        )
 
 
 class TestFeasibility:
@@ -79,6 +159,12 @@ class TestValidation:
     def test_rejects_bad_mix(self):
         with pytest.raises(ReproError):
             StreamTrafficConfig(tx_type_mix=(0.5, 0.5, 0.5))
+
+    def test_rejects_negative_mix_entry_that_sums_to_one(self):
+        # Summing to 1 is not enough: numpy's choice used to reject the
+        # negative weight only at the first draw.
+        with pytest.raises(ConfigError, match="non-negative"):
+            StreamTrafficConfig(tx_type_mix=(1.2, -0.1, -0.1))
 
     def test_rejects_more_ifus_than_users(self):
         with pytest.raises(ReproError):
