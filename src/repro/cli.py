@@ -23,6 +23,7 @@ from typing import List, Optional
 
 from . import api, experiments
 from .config import eth_to_satoshi
+from .errors import ConfigError
 from .experiments import FULL, QUICK, EffortPreset
 from .parallel import TaskRunner, get_runner
 
@@ -513,7 +514,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except ConfigError as exc:
+        # A bad flag value, reported as argparse reports its own errors;
+        # exit 1 stays "the run found a failure".
+        print(f"{parser.prog} {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

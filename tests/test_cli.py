@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro import cli
 from repro.api import run_experiment
 from repro.cli import build_parser, main
+from repro.errors import ReproError
 
 
 class TestParser:
@@ -87,3 +89,32 @@ class TestExecution:
         out = capsys.readouterr().out
         assert '"violations": []' in out
         assert '"order_digest"' in out
+
+
+class TestConfigErrors:
+    """A bad flag value prints one argparse-style line and exits 2; exit
+    1 keeps meaning that the run itself found a failure."""
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["stream", "--lanes", "0"],
+             "parole stream: error: need at least one lane"),
+            (["chaos", "--rounds", "0"],
+             "parole chaos: error: rounds must be positive"),
+        ],
+        ids=["stream-lanes-0", "chaos-rounds-0"],
+    )
+    def test_one_line_on_stderr_and_exit_2(self, capsys, argv, line):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == line + "\n"
+        assert captured.out == ""
+
+    def test_other_errors_keep_their_traceback(self, monkeypatch):
+        def broken(args):
+            raise ReproError("not a config error")
+
+        monkeypatch.setattr(cli, "_cmd_bisect", broken)
+        with pytest.raises(ReproError, match="not a config error"):
+            main(["bisect"])
