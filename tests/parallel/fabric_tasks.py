@@ -19,6 +19,7 @@ import numpy as np
 
 from repro.errors import ParallelError
 from repro.parallel import (
+    PoolRunner,
     SerialRunner,
     Task,
     get_runner,
@@ -81,12 +82,18 @@ def crash_once(x: int, marker: str, seed: Optional[int] = None) -> int:
 
 
 def failure_probe(case: str) -> dict:
-    """One 2-worker batch whose middle task fails outside task code.
+    """One pooled batch whose middle task fails outside task code.
 
     ``case`` picks the failure: ``kill`` (the task ends its worker),
     ``unpicklable`` (its value cannot be shipped back) or ``closure``
     (its function cannot be shipped out).  The same runner then runs a
     second batch.
+
+    ``kill`` runs on one worker, which finishes ``cube#0`` and
+    ``cube#1`` before it takes ``kill#2``.  With two, the worker that
+    finished ``cube#0`` could take ``kill#2`` while ``cube#1`` was still
+    out; the dead worker then fails ``cube#1`` too, and it is named
+    first.  The other cases run on two workers.
     """
 
     def closure(x: int, seed: Optional[int] = None) -> int:
@@ -95,7 +102,7 @@ def failure_probe(case: str) -> dict:
     bad = {"kill": kill_worker, "unpicklable": return_lock, "closure": closure}
     tasks = [Task(fn=cube, args=(i,), label=f"cube#{i}") for i in range(5)]
     tasks[2] = Task(fn=bad[case], args=(2,), label=f"{case}#2")
-    runner = get_runner(2)
+    runner = PoolRunner(max_workers=1) if case == "kill" else get_runner(2)
     started = time.perf_counter()
     try:
         runner.map(tasks)
