@@ -7,7 +7,10 @@ of leaves produces a well-defined root.
 Successive state roots share most of their content, so a tree built from
 precomputed leaf digests takes its interior nodes from a
 :class:`DigestMemo` keyed by the two child digests: a node whose children
-were hashed before is never hashed again.
+were hashed before is never hashed again.  A tree can also be built as an
+earlier tree with a few leaves replaced: only the ancestors of those
+leaves are recomputed, through the same memo, and the earlier tree is
+left as it was.
 """
 
 from __future__ import annotations
@@ -102,7 +105,10 @@ class MerkleTree:
     Pass ``leaves`` to hash each value with :func:`hash_value`, or
     ``leaf_digests`` to supply those digests directly; the second form
     memoizes interior nodes, for trees rebuilt over mostly unchanged
-    content such as successive state roots.
+    content such as successive state roots.  Pass ``base`` and
+    ``changes``, an iterable of ``(leaf index, digest)`` pairs, for
+    ``base`` with those leaves replaced: only their ancestors are
+    rehashed, through the same memo, and ``base`` is not modified.
     """
 
     def __init__(
@@ -110,25 +116,31 @@ class MerkleTree:
         leaves: Sequence[Any] = (),
         *,
         leaf_digests: Optional[Iterable[str]] = None,
+        base: Optional["MerkleTree"] = None,
+        changes: Iterable[Tuple[int, str]] = (),
     ) -> None:
-        if leaf_digests is None:
-            self._leaf_digests: List[str] = [hash_value(leaf) for leaf in leaves]
-            self._levels: List[List[str]] = self._build_levels(
-                self._leaf_digests
-            )
+        if base is not None:
+            self._size: int = base._size
+            self._levels: List[List[str]] = base._rehashed(changes)
+            _NODE_MEMO.rotate(self._size)
+        elif leaf_digests is None:
+            digests = [hash_value(leaf) for leaf in leaves]
+            self._size = len(digests)
+            self._levels = self._build_levels(digests)
         else:
-            self._leaf_digests = list(leaf_digests)
-            self._levels = self._build_levels(self._leaf_digests, _NODE_MEMO)
-            _NODE_MEMO.rotate(len(self._leaf_digests))
+            digests = list(leaf_digests)
+            self._size = len(digests)
+            self._levels = self._build_levels(digests, _NODE_MEMO)
+            _NODE_MEMO.rotate(self._size)
 
     @staticmethod
     def _build_levels(
-        leaf_digests: Sequence[str], memo: Optional[DigestMemo] = None
+        leaf_digests: List[str], memo: Optional[DigestMemo] = None
     ) -> List[List[str]]:
         if not leaf_digests:
             return [[EMPTY_ROOT]]
-        levels = [list(leaf_digests)]
-        current = list(leaf_digests)
+        levels = [leaf_digests]
+        current = leaf_digests
         while len(current) > 1:
             if len(current) % 2 == 1:
                 current = current + [current[-1]]
@@ -142,8 +154,38 @@ class MerkleTree:
             current = parent
         return levels
 
+    def _rehashed(self, changes: Iterable[Tuple[int, str]]) -> List[List[str]]:
+        """Copies of this tree's levels with ``changes`` applied to the
+        leaves and every ancestor of a changed leaf recomputed."""
+        levels = [list(level) for level in self._levels]
+        leaves = levels[0]
+        dirty: List[int] = []
+        for index, digest in changes:
+            if not 0 <= index < self._size:
+                raise CryptoError(
+                    f"leaf index {index} out of range [0, {self._size})"
+                )
+            if leaves[index] != digest:
+                leaves[index] = digest
+                dirty.append(index)
+        dirty.sort()
+        width = self._size
+        for level, above in zip(levels, levels[1:]):
+            if not dirty:
+                break
+            if width % 2 and dirty[-1] == width - 1:
+                level[width] = level[width - 1]  # an odd level's duplicate
+            dirty = list(dict.fromkeys(index // 2 for index in dirty))
+            children = ((level[2 * p], level[2 * p + 1]) for p in dirty)
+            for parent, digest in zip(
+                dirty, _NODE_MEMO.digests(children, _hash_node)
+            ):
+                above[parent] = digest
+            width = (width + 1) // 2
+        return levels
+
     def __len__(self) -> int:
-        return len(self._leaf_digests)
+        return self._size
 
     @property
     def root(self) -> str:
@@ -153,13 +195,13 @@ class MerkleTree:
     @property
     def leaf_digests(self) -> Tuple[str, ...]:
         """Digests of the original leaves (without padding duplicates)."""
-        return tuple(self._leaf_digests)
+        return tuple(self._levels[0][:self._size])
 
     def proof(self, index: int) -> MerkleProof:
         """Build an inclusion proof for the leaf at ``index``."""
-        if not 0 <= index < len(self._leaf_digests):
+        if not 0 <= index < self._size:
             raise CryptoError(
-                f"leaf index {index} out of range [0, {len(self._leaf_digests)})"
+                f"leaf index {index} out of range [0, {self._size})"
             )
         path: List[Tuple[str, bool]] = []
         position = index
@@ -174,7 +216,7 @@ class MerkleTree:
             path.append((sibling, sibling_is_right))
             position //= 2
         return MerkleProof(
-            leaf=self._leaf_digests[index], index=index, path=tuple(path)
+            leaf=self._levels[0][index], index=index, path=tuple(path)
         )
 
 

@@ -200,7 +200,7 @@ class InvariantChecker:
                 f"{len(duplicated)} tx(s) included in more than one "
                 f"surviving batch (e.g. {duplicated[0][:12]}...)"
             )
-        pending = {tx.tx_hash for tx in self.node.mempool.pending()}
+        pending = self.node.mempool.pending_hashes()
         accounted = pending | set(included)
         lost = self._accepted - accounted
         if lost:

@@ -37,7 +37,7 @@ outage.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from ..errors import MempoolError, MempoolStalledError
 from ..telemetry import get_metrics
@@ -107,25 +107,12 @@ class BedrockMempool:
             raise MempoolError(
                 f"duplicate transaction {self._identity[identity][:12]}..."
             )
-        stamped = self._stamp(tx)
+        self._arrival += 1
+        stamped = tx.stamped(self._arrival)
         self._admit(stamped, identity)
         self._m_submitted.inc()
         self._m_pending.set(len(self._pending))
         return stamped.tx_hash
-
-    def _stamp(self, tx: NFTTransaction) -> NFTTransaction:
-        self._arrival += 1
-        return NFTTransaction(
-            kind=tx.kind,
-            sender=tx.sender,
-            recipient=tx.recipient,
-            token_id=tx.token_id,
-            base_fee=tx.base_fee,
-            priority_fee=tx.priority_fee,
-            nonce=tx.nonce,
-            submitted_at=self._arrival,
-            label=tx.label,
-        )
 
     def _admit(self, tx: NFTTransaction, identity: str) -> None:
         tx_hash = tx.tx_hash
@@ -238,3 +225,7 @@ class BedrockMempool:
     def pending(self) -> Tuple[NFTTransaction, ...]:
         """All pending transactions in priority order."""
         return tuple(sorted(self._pending.values(), key=self._priority))
+
+    def pending_hashes(self) -> Set[str]:
+        """Hashes of all pending transactions, unsorted."""
+        return set(self._pending)

@@ -30,6 +30,11 @@ from ..tokens import ScarcityPricing, TxValidity
 from .transaction import NFTTransaction, TxKind
 
 
+#: Decimal places of a balance in the state root, so float noise below
+#: them never changes a root.
+ROOT_DECIMALS = 12
+
+
 class ExecutionMode(enum.Enum):
     """Constraint regime the OVM applies (see module docstring)."""
 
@@ -235,7 +240,9 @@ class L2State:
     def canonical_items(self) -> Tuple[Tuple, ...]:
         """Deterministic serialisation for state-root hashing."""
         return (
-            tuple(sorted((u, round(b, 12)) for u, b in self.balances.items())),
+            tuple(sorted(
+                (u, round(b, ROOT_DECIMALS)) for u, b in self.balances.items()
+            )),
             tuple(sorted(self.inventory.items())),
             self.remaining_supply,
         )

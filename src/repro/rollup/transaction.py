@@ -107,6 +107,29 @@ class NFTTransaction:
             ]
         )
 
+    def stamped(self, submitted_at: int) -> "NFTTransaction":
+        """This transaction with the arrival stamp ``submitted_at``.
+
+        :attr:`arrival_identity` leaves the stamp out, so the copy
+        inherits that digest if this object has computed it;
+        :attr:`tx_hash` covers the stamp and is computed afresh.
+        """
+        copy = NFTTransaction(
+            kind=self.kind,
+            sender=self.sender,
+            recipient=self.recipient,
+            token_id=self.token_id,
+            base_fee=self.base_fee,
+            priority_fee=self.priority_fee,
+            nonce=self.nonce,
+            submitted_at=submitted_at,
+            label=self.label,
+        )
+        identity = self.__dict__.get("arrival_identity")
+        if identity is not None:
+            copy.__dict__["arrival_identity"] = identity
+        return copy
+
     def involves(self, user: str) -> bool:
         """Whether ``user`` is the sender or the recipient."""
         return self.sender == user or self.recipient == user

@@ -23,7 +23,7 @@ global duplicate check for free.
 from __future__ import annotations
 
 import heapq
-from typing import List, Sequence, Tuple
+from typing import List, Sequence, Set, Tuple
 
 from ..errors import MempoolError, MempoolStalledError
 from ..rollup.mempool import BedrockMempool
@@ -76,20 +76,6 @@ class ShardedMempool:
         # arrival_identity is a hex digest; its low bits are uniform.
         return self._shards[int(identity[-8:], 16) % len(self._shards)]
 
-    def _stamp(self, tx: NFTTransaction) -> NFTTransaction:
-        self._arrival += 1
-        return NFTTransaction(
-            kind=tx.kind,
-            sender=tx.sender,
-            recipient=tx.recipient,
-            token_id=tx.token_id,
-            base_fee=tx.base_fee,
-            priority_fee=tx.priority_fee,
-            nonce=tx.nonce,
-            submitted_at=self._arrival,
-            label=tx.label,
-        )
-
     @staticmethod
     def _key(tx: NFTTransaction) -> Tuple[float, int, int]:
         # Global stamps are unique, so this key is already a total
@@ -100,7 +86,8 @@ class ShardedMempool:
 
     def submit(self, tx: NFTTransaction) -> str:
         """Stamp with the global arrival counter, route, admit."""
-        stamped = self._stamp(tx)
+        self._arrival += 1
+        stamped = tx.stamped(self._arrival)
         return self._shard_for(stamped.arrival_identity).admit_stamped(stamped)
 
     def submit_all(self, txs: Sequence[NFTTransaction]) -> List[str]:
@@ -172,3 +159,7 @@ class ShardedMempool:
             merged.extend(shard.pending())
         merged.sort(key=self._key)
         return tuple(merged)
+
+    def pending_hashes(self) -> Set[str]:
+        """Hashes of all pending transactions, unsorted."""
+        return set().union(*(shard.pending_hashes() for shard in self._shards))
