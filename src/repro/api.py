@@ -39,12 +39,13 @@ from .experiments.runner import (
     SpecOutcome,
     execute_spec,
 )
-from .matrix.defenses import DEFENSES, DefenseInfo
+from .matrix.defenses import DEFENSES
 from .matrix.runner import MatrixReport, matrix_config_for
 from .matrix.runner import run_matrix as _run_matrix_grid
 from .parallel import TaskRunner
+from .registry import RegistryEntry
 from .store import ResultStore
-from .strategies.registry import STRATEGIES, StrategyInfo
+from .strategies.registry import STRATEGIES
 
 __all__ = [
     "list_experiments",
@@ -95,7 +96,7 @@ def run_experiment(
     )
 
 
-def list_strategies() -> List[StrategyInfo]:
+def list_strategies() -> List[RegistryEntry]:
     """Every registered adversary strategy plug-in, in registry order.
 
     Each entry carries ``name``, ``description`` and the factory the
@@ -106,7 +107,7 @@ def list_strategies() -> List[StrategyInfo]:
     return STRATEGIES.list()
 
 
-def list_defenses() -> List[DefenseInfo]:
+def list_defenses() -> List[RegistryEntry]:
     """Every registered sequencing defense, in registry order."""
     return DEFENSES.list()
 

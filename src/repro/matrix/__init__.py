@@ -13,8 +13,6 @@ from .defenses import (
     DEFENSES,
     DefendedAggregator,
     Defense,
-    DefenseInfo,
-    DefenseRegistry,
     DefenseRuling,
     EncryptedMempoolDefense,
     FCFSDefense,
@@ -39,8 +37,6 @@ __all__ = [
     "DEFENSES",
     "DefendedAggregator",
     "Defense",
-    "DefenseInfo",
-    "DefenseRegistry",
     "DefenseRuling",
     "EncryptedMempoolDefense",
     "FCFSDefense",

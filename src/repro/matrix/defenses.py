@@ -22,11 +22,11 @@ aggregator's conservation guarantees intact for the invariant checker.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from ..config import DefenseConfig, GenTranSeqConfig
 from ..defense import MempoolGuard
-from ..errors import ReproError
+from ..registry import Registry
 from ..rollup.aggregator import AdversarialAggregator
 from ..rollup.ovm import OVM
 from ..rollup.state import L2State
@@ -309,65 +309,13 @@ class DefendedAggregator(AdversarialAggregator):
 # Registry
 # --------------------------------------------------------------------- #
 
-DefenseFactory = Callable[[], Defense]
 
+def default_defenses() -> Registry:
+    """A fresh registry holding every shipped defense.
 
-@dataclass(frozen=True)
-class DefenseInfo:
-    """One registry entry: name, description, factory."""
-
-    name: str
-    description: str
-    factory: DefenseFactory
-
-
-class DefenseRegistry:
-    """Insertion-ordered name -> factory mapping (mirrors strategies)."""
-
-    def __init__(self) -> None:
-        self._entries: Dict[str, DefenseInfo] = {}
-
-    def register(
-        self, name: str, description: str, factory: DefenseFactory
-    ) -> None:
-        if not name:
-            raise ReproError("defense name cannot be empty")
-        self._entries[name] = DefenseInfo(
-            name=name, description=description, factory=factory
-        )
-
-    def names(self) -> Tuple[str, ...]:
-        return tuple(self._entries)
-
-    def list(self) -> List[DefenseInfo]:
-        return list(self._entries.values())
-
-    def info(self, name: str) -> DefenseInfo:
-        try:
-            return self._entries[name]
-        except KeyError:
-            known = ", ".join(self._entries)
-            raise ReproError(
-                f"unknown defense {name!r} (known: {known})"
-            ) from None
-
-    def create(self, name: str) -> Defense:
-        """Build a fresh instance of the named defense."""
-        return self.info(name).factory()
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._entries
-
-    def __iter__(self) -> Iterator[DefenseInfo]:
-        return iter(self._entries.values())
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-def default_defenses() -> DefenseRegistry:
-    """A fresh registry holding every shipped defense."""
-    registry = DefenseRegistry()
+    Each factory is the :class:`Defense` subclass itself.
+    """
+    registry = Registry("defense")
     registry.register("none", Defense.description, Defense)
     registry.register("fcfs", FCFSDefense.description, FCFSDefense)
     registry.register(
@@ -383,4 +331,4 @@ def default_defenses() -> DefenseRegistry:
 
 
 #: The process-wide default registry.
-DEFENSES: DefenseRegistry = default_defenses()
+DEFENSES: Registry = default_defenses()

@@ -1,28 +1,18 @@
-"""Discrete-event network simulation of the rollup deployment.
+"""The event clock and the simulated network of the rollup deployment.
 
 The in-process :class:`~repro.rollup.node.RollupNode` executes rounds
-atomically; this package adds *time*: users, aggregators and verifiers
-become actors on a latency-modelled network, messages take time to
-arrive, aggregation happens on Bedrock's fixed block interval, and the
-PAROLE module's compute cost delays the adversarial aggregator's batch.
-That delay is precisely why Section VII-F benchmarks DQN inference
-against NLP solvers — an aggregator that misses its slot earns nothing.
+atomically; :class:`~repro.faults.deployment.Deployment` places those
+rounds on an :class:`EventQueue` clock (one round per Bedrock block
+interval), and the chaos harness delivers user arrivals over a
+latency-modelled :class:`SimNetwork` on that same clock, where fault
+plans drop, partition and heal links.
 
-* :mod:`repro.sim.events`   — the event queue;
-* :mod:`repro.sim.network`  — latency model, message scheduling, drops;
-* :mod:`repro.sim.actors`   — user / aggregator / verifier processes;
-* :mod:`repro.sim.scenario` — a wired end-to-end timed deployment.
+* :mod:`repro.sim.events`  — the event queue;
+* :mod:`repro.sim.network` — latency model, message scheduling, drops.
 """
 
 from .events import Event, EventQueue
 from .network import LatencyModel, Message, SimNetwork
-from .actors import (
-    Actor,
-    AggregatorActor,
-    UserActor,
-    VerifierActor,
-)
-from .scenario import ScenarioMetrics, TimedRollupScenario
 
 __all__ = [
     "Event",
@@ -30,10 +20,4 @@ __all__ = [
     "LatencyModel",
     "Message",
     "SimNetwork",
-    "Actor",
-    "AggregatorActor",
-    "UserActor",
-    "VerifierActor",
-    "ScenarioMetrics",
-    "TimedRollupScenario",
 ]

@@ -1,4 +1,4 @@
-"""The discrete-event queue driving the timed simulation."""
+"""The discrete-event queue: the deployment's one clock."""
 
 from __future__ import annotations
 
@@ -91,28 +91,18 @@ class EventQueue:
         self._now = max(self._now, time)
         return executed
 
-    def run(
-        self, until: Optional[float] = None, max_events: int = 1_000_000
-    ) -> int:
-        """Drain the queue (optionally up to time ``until``).
+    def run(self, max_events: int = 1_000_000) -> int:
+        """Drain the queue; returns the number of events executed.
 
-        Returns the number of events executed.  ``max_events`` guards
-        against runaway self-scheduling loops.
+        ``max_events`` guards against runaway self-scheduling loops.
         """
         executed = 0
         while self._heap and executed < max_events:
-            if until is not None and self._heap[0].time > until:
-                self._now = until
-                break
             self.step()
             executed += 1
-        if (
-            executed >= max_events
-            and self._heap
-            and (until is None or self._heap[0].time <= until)
-        ):
-            # Only a genuine runaway: the budget is spent *and* runnable
-            # events remain.  Draining in exactly ``max_events`` events is
+        if self._heap:
+            # Only a genuine runaway: the budget is spent *and* events
+            # remain.  Draining in exactly ``max_events`` events is
             # normal exhaustion, not an error.
             raise SimError(f"exceeded {max_events} events; runaway loop?")
         return executed

@@ -1,4 +1,4 @@
-"""Latency-modelled message passing between simulation actors."""
+"""Latency-modelled message passing between named nodes."""
 
 from __future__ import annotations
 
@@ -139,14 +139,3 @@ class SimNetwork:
 
         self.queue.schedule(delay, deliver, label=f"{kind}:{sender}->{recipient}")
         return True
-
-    def broadcast(
-        self, sender: str, kind: str, payload: Any = None
-    ) -> int:
-        """Send to every registered node except the sender; returns the
-        number of messages actually scheduled."""
-        count = 0
-        for name in self._handlers:
-            if name != sender and self.send(sender, name, kind, payload):
-                count += 1
-        return count

@@ -5,22 +5,12 @@ aggregator only pays the *inference* cost online.  This wrapper trains
 once on construction (or accepts a pre-trained module) and exposes
 greedy rollout through the common solver interface so it can be profiled
 head-to-head with the NLP stand-ins.
-
-``population=1`` (the default) is the paper's greedy rollout, unchanged
-byte for byte.  ``population=K`` switches to a beam rollout: one
-``q_values_batch`` forward pass ranks the swap actions of all K beam
-members at once, the top-ranked successors of every member are scored
-in a single columnar batch-kernel call (``ReorderEnv.evaluate_orders``),
-and the K best feasible orders survive to the next round — whole action
-populations per forward pass instead of one argmax per step.
 """
 
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Tuple
-
-import numpy as np
+from typing import Optional
 
 from ..config import GenTranSeqConfig
 from ..core.gentranseq import GenTranSeq
@@ -28,7 +18,7 @@ from .base import ReorderProblem, ReorderSolver, SolverResult
 
 
 class DQNInferenceSolver(ReorderSolver):
-    """Greedy or beam rollout of a (pre)trained GENTRANSEQ Q-network."""
+    """Greedy rollout of a (pre)trained GENTRANSEQ Q-network."""
 
     name = "DQN (inference)"
 
@@ -38,14 +28,10 @@ class DQNInferenceSolver(ReorderSolver):
         config: Optional[GenTranSeqConfig] = None,
         train_episodes: int = 0,
         max_swaps: int = 50,
-        population: int = 1,
     ) -> None:
-        if population < 1:
-            raise ValueError("population must be >= 1")
         self.gentranseq = gentranseq or GenTranSeq(config=config)
         self.train_episodes = train_episodes
         self.max_swaps = max_swaps
-        self.population = population
         self._trained = gentranseq is not None
 
     def ensure_trained(self, problem: ReorderProblem) -> None:
@@ -63,8 +49,6 @@ class DQNInferenceSolver(ReorderSolver):
     def solve(self, problem: ReorderProblem) -> SolverResult:
         """Rollout; cost is what Figure 11 measures."""
         self.ensure_trained(problem)
-        if self.population > 1:
-            return self._solve_beam(problem)
         started = time.perf_counter()
         inference = self.gentranseq.infer(
             problem.pre_state,
@@ -84,83 +68,6 @@ class DQNInferenceSolver(ReorderSolver):
             elapsed_seconds=elapsed,
             evaluations=self.max_swaps,
             peak_memory_bytes=self.gentranseq.inference_memory_bytes(),
-        )
-
-    def _solve_beam(self, problem: ReorderProblem) -> SolverResult:
-        """Beam rollout: K orders advance together, batch-scored per round."""
-        env = self.gentranseq.build_env(
-            problem.pre_state, problem.transactions, problem.ifus
-        )
-        agent = self.gentranseq._agent_for(env)
-        width = self.population
-        started = time.perf_counter()
-        evaluations = 0
-
-        identity = tuple(range(env.sequence_length))
-        beam: List[Tuple[int, ...]] = [identity]
-        beam_evals = env.evaluate_orders(beam)
-        evaluations += 1
-        best_order = identity
-        best_objective = env.original_objective
-        for _ in range(self.max_swaps):
-            # One forward pass ranks every beam member's full action set.
-            observations = np.stack(
-                [
-                    env._encoder.encode_columns(
-                        env.sequence_for(order),
-                        evaluation["summary"].prices_before,
-                        evaluation["summary"].remaining_after,
-                    )
-                    for order, evaluation in zip(beam, beam_evals)
-                ]
-            )
-            q_matrix = agent.q_values_batch(observations)
-            # Top `width` swaps per member; the pooled successors are one
-            # candidate set for the batch kernel.
-            ranked = np.argsort(-q_matrix, axis=1, kind="stable")[:, :width]
-            successors: List[Tuple[int, ...]] = []
-            seen = set(beam)
-            for member, order in enumerate(beam):
-                for action in ranked[member]:
-                    i, j = env.action_pair(int(action))
-                    candidate = list(order)
-                    candidate[i], candidate[j] = candidate[j], candidate[i]
-                    key = tuple(candidate)
-                    if key not in seen:
-                        seen.add(key)
-                        successors.append(key)
-            if not successors:
-                break
-            evaluated = env.evaluate_orders(successors)
-            evaluations += len(successors)
-            for order, evaluation in zip(successors, evaluated):
-                if (
-                    evaluation["feasible"]
-                    and evaluation["objective"] > best_objective
-                ):
-                    best_objective = evaluation["objective"]
-                    best_order = order
-            # Survivors: best `width` successors by objective (stable on
-            # ties, infeasible orders sink with -inf).
-            scores = np.asarray(
-                [
-                    e["objective"] if e["feasible"] else float("-inf")
-                    for e in evaluated
-                ]
-            )
-            keep = np.argsort(-scores, kind="stable")[:width]
-            beam = [successors[i] for i in keep]
-            beam_evals = [evaluated[i] for i in keep]
-        elapsed = time.perf_counter() - started
-        return SolverResult(
-            solver_name=self.name,
-            best_order=best_order,
-            best_objective=best_objective,
-            original_objective=env.original_objective,
-            elapsed_seconds=elapsed,
-            evaluations=evaluations,
-            peak_memory_bytes=self.gentranseq.inference_memory_bytes(),
-            metadata={"population": float(width)},
         )
 
     def model_memory_bytes(self) -> int:

@@ -28,8 +28,6 @@ from .base import (
 from .registry import (
     STRATEGIES,
     StrategyContext,
-    StrategyInfo,
-    StrategyRegistry,
     default_strategies,
 )
 
@@ -60,8 +58,6 @@ __all__ = [
     "validate_action",
     "STRATEGIES",
     "StrategyContext",
-    "StrategyInfo",
-    "StrategyRegistry",
     "default_strategies",
     "ParoleReorderStrategy",
     "SandwichStrategy",

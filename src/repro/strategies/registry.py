@@ -1,10 +1,11 @@
 """The strategy registry: named factories the matrix and API resolve.
 
-Third-party plug-ins register a *factory* (not an instance): every
-matrix cell constructs a fresh strategy from a :class:`StrategyContext`
-(who the IFUs are, the cell seed, the effort preset, the opening unit
-price) so no state leaks between cells and the whole grid stays a pure
-function of ``(config, seed)``.
+Third-party plug-ins register a *factory* (not an instance) on a
+:class:`~repro.registry.Registry`: every matrix cell constructs a fresh
+strategy from a :class:`StrategyContext` (who the IFUs are, the cell
+seed, the effort preset, the opening unit price) so no state leaks
+between cells and the whole grid stays a pure function of ``(config,
+seed)``.
 
 The shipped strategies are registered lazily — their modules import
 only when first constructed — so importing :mod:`repro.strategies`
@@ -14,9 +15,9 @@ stays cheap and cycle-free from inside :mod:`repro.rollup`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Tuple
+from typing import Tuple
 
-from ..errors import ReproError
+from ..registry import Registry
 from .base import BaseStrategy
 
 
@@ -31,67 +32,6 @@ class StrategyContext:
     preset: str = "quick"
     #: Unit price of the collection at cell start (sizes bankrolls).
     initial_price: float = 0.2
-
-
-#: A factory builds one fresh strategy instance per cell.
-StrategyFactory = Callable[[StrategyContext], BaseStrategy]
-
-
-@dataclass(frozen=True)
-class StrategyInfo:
-    """One registry entry: name, description, factory."""
-
-    name: str
-    description: str
-    factory: StrategyFactory
-
-
-class StrategyRegistry:
-    """Insertion-ordered name -> factory mapping."""
-
-    def __init__(self) -> None:
-        self._entries: Dict[str, StrategyInfo] = {}
-
-    def register(
-        self, name: str, description: str, factory: StrategyFactory
-    ) -> None:
-        """Add (or replace) a named strategy factory."""
-        if not name:
-            raise ReproError("strategy name cannot be empty")
-        self._entries[name] = StrategyInfo(
-            name=name, description=description, factory=factory
-        )
-
-    def names(self) -> Tuple[str, ...]:
-        return tuple(self._entries)
-
-    def list(self) -> List[StrategyInfo]:
-        """Every entry, in registration order."""
-        return list(self._entries.values())
-
-    def info(self, name: str) -> StrategyInfo:
-        try:
-            return self._entries[name]
-        except KeyError:
-            known = ", ".join(self._entries)
-            raise ReproError(
-                f"unknown strategy {name!r} (known: {known})"
-            ) from None
-
-    def create(
-        self, name: str, context: StrategyContext = StrategyContext()
-    ) -> BaseStrategy:
-        """Build a fresh instance of the named strategy."""
-        return self.info(name).factory(context)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._entries
-
-    def __iter__(self) -> Iterator[StrategyInfo]:
-        return iter(self._entries.values())
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
 
 # --------------------------------------------------------------------- #
@@ -141,9 +81,12 @@ def _optimistic_backrun(context: StrategyContext) -> BaseStrategy:
     return OptimisticBackrunStrategy(seed=context.seed)
 
 
-def default_strategies() -> StrategyRegistry:
-    """A fresh registry holding every shipped strategy."""
-    registry = StrategyRegistry()
+def default_strategies() -> Registry:
+    """A fresh registry holding every shipped strategy.
+
+    ``create(name)`` without a context builds from ``StrategyContext()``.
+    """
+    registry = Registry("strategy", StrategyContext())
     registry.register(
         "honest",
         "baseline: execute every batch in collected order",
@@ -175,4 +118,4 @@ def default_strategies() -> StrategyRegistry:
 
 #: The process-wide default registry (what the API facade and the matrix
 #: resolve names against).  Third-party code may register into it.
-STRATEGIES: StrategyRegistry = default_strategies()
+STRATEGIES: Registry = default_strategies()

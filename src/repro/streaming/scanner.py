@@ -49,9 +49,9 @@ class ScannerConfig:
     #: Deterministic latency budget: the maximum *estimated* number of
     #: order evaluations one batch may spend before it must degrade.
     eval_budget_per_batch: int = 512
+    #: Most swaps of the greedy rollout, one evaluation each: the
+    #: estimate the budget is checked against.
     max_swaps: int = 12
-    #: Beam width of the rollout (1 = the paper's greedy rollout).
-    population: int = 1
     #: Offline training budget per distinct batch size (first batch of a
     #: given size pays it; excluded from the serving budget, matching
     #: the paper's offline-training / online-inference split).
@@ -64,17 +64,9 @@ class ScannerConfig:
         _require(self.eval_budget_per_batch >= 1,
                  "eval_budget_per_batch must be positive")
         _require(self.max_swaps >= 1, "max_swaps must be positive")
-        _require(self.population >= 1, "population must be >= 1")
         _require(self.train_episodes >= 0,
                  "train_episodes cannot be negative")
         _require(self.train_steps >= 1, "train_steps must be positive")
-
-    def estimated_evaluations(self, size: int) -> int:
-        """Deterministic upper estimate of one solve's evaluation count."""
-        if self.population == 1:
-            return self.max_swaps
-        # Beam rollout: up to population^2 successors scored per round.
-        return self.max_swaps * self.population * self.population
 
 
 @dataclass(frozen=True)
@@ -164,7 +156,6 @@ class BatchScanner:
                 ),
                 train_episodes=cfg.train_episodes,
                 max_swaps=cfg.max_swaps,
-                population=cfg.population,
             )
             self._solvers[size] = solver
         return solver
@@ -180,7 +171,6 @@ class BatchScanner:
             cfg.max_batch_size,
             cfg.eval_budget_per_batch,
             cfg.max_swaps,
-            cfg.population,
             cfg.train_episodes,
             cfg.train_steps,
             cfg.seed,
@@ -230,11 +220,10 @@ class BatchScanner:
         if not assessment.has_opportunity:
             return finish(identity, "skipped",
                           "; ".join(assessment.reasons), 0.0, 0)
-        estimate = cfg.estimated_evaluations(size)
-        if estimate > cfg.eval_budget_per_batch:
+        if cfg.max_swaps > cfg.eval_budget_per_batch:
             return finish(identity, "degraded",
-                          f"estimated {estimate} evaluations exceeds budget "
-                          f"{cfg.eval_budget_per_batch}", 0.0, 0)
+                          f"estimated {cfg.max_swaps} evaluations exceeds "
+                          f"budget {cfg.eval_budget_per_batch}", 0.0, 0)
 
         if self._store is not None:
             key = self._cache_key(pre_state, txs)

@@ -51,7 +51,7 @@ class TestInstall:
             FaultEvent(time=1.0, kind=FaultKind.AGGREGATOR_CRASH, target="agg-0"),
             FaultEvent(time=4.0, kind=FaultKind.AGGREGATOR_RESTART, target="agg-0"),
         )))
-        queue.run(until=2.0)
+        queue.run_before(2.0)
         assert not targets.aggregators["agg-0"].alive
         queue.run()
         assert targets.aggregators["agg-0"].alive
@@ -77,7 +77,7 @@ class TestApply:
             FaultEvent(time=1.0, kind=FaultKind.PARTITION, target="a", peer="b"),
             FaultEvent(time=2.0, kind=FaultKind.HEAL, target="a", peer="b"),
         )))
-        queue.run(until=1.5)
+        queue.run_before(1.5)
         assert not targets.network.send("a", "b", "ping")
         queue.run()
         assert targets.network.send("a", "b", "ping")
@@ -89,7 +89,7 @@ class TestApply:
             FaultEvent(time=1.0, kind=FaultKind.DROP_BURST, value=0.6),
             FaultEvent(time=2.0, kind=FaultKind.DROP_RESTORE),
         )))
-        queue.run(until=1.5)
+        queue.run_before(1.5)
         assert targets.network.drop_rate == 0.6
         queue.run()
         assert targets.network.drop_rate == 0.05
@@ -100,7 +100,7 @@ class TestApply:
             FaultEvent(time=1.0, kind=FaultKind.MEMPOOL_STALL),
             FaultEvent(time=2.0, kind=FaultKind.MEMPOOL_RESUME),
         )))
-        queue.run(until=1.5)
+        queue.run_before(1.5)
         assert targets.mempool.stalled
         queue.run()
         assert not targets.mempool.stalled

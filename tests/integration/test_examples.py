@@ -18,7 +18,6 @@ FAST_EXAMPLES = (
     "marketplace_study",
     "defense_demo",
     "attack_campaign",
-    "timed_deployment",
     "market_replay_attack",
     "wash_trading_demo",
 )

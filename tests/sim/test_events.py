@@ -52,15 +52,6 @@ class TestScheduling:
 
 
 class TestRun:
-    def test_run_until_stops_early(self, queue):
-        order = []
-        queue.schedule(1.0, lambda: order.append("early"))
-        queue.schedule(10.0, lambda: order.append("late"))
-        queue.run(until=5.0)
-        assert order == ["early"]
-        assert queue.now == 5.0
-        assert queue.pending == 1
-
     def test_step_returns_event(self, queue):
         queue.schedule(1.0, lambda: None, label="tick")
         event = queue.step()
@@ -94,15 +85,6 @@ class TestRun:
             queue.schedule(float(i), lambda: None)
         with pytest.raises(SimError):
             queue.run(max_events=10)
-
-    def test_budget_exhaustion_beyond_until_is_not_runaway(self, queue):
-        """Events past the ``until`` horizon are not runnable, so hitting
-        the budget exactly at the horizon is normal exhaustion."""
-        for i in range(5):
-            queue.schedule(float(i), lambda: None)
-        queue.schedule(100.0, lambda: None)
-        assert queue.run(until=50.0, max_events=5) == 5
-        assert queue.pending == 1
 
     def test_run_before_leaves_events_due_at_the_bound(self, queue):
         order = []

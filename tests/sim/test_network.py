@@ -63,14 +63,6 @@ class TestDelivery:
         queue.run()
         assert inbox["b"][0].delivered_at == pytest.approx(5.0)
 
-    def test_broadcast_reaches_everyone_else(self, setup):
-        queue, network, inbox = setup
-        count = network.broadcast("a", "hello")
-        queue.run()
-        assert count == 1
-        assert len(inbox["b"]) == 1
-        assert len(inbox["a"]) == 0
-
 
 class TestFailures:
     def test_partition_blocks_delivery(self, setup):
@@ -140,9 +132,9 @@ class TestLatencyModelValidation:
         ) == 0.0
 
 
-class TestBroadcastDeterminism:
+class TestDeliveryDeterminism:
     @staticmethod
-    def _run_broadcasts(seed):
+    def _run_sends(seed):
         queue = EventQueue()
         network = SimNetwork(
             queue, latency=LatencyModel(base=0.05, jitter=0.02),
@@ -157,23 +149,24 @@ class TestBroadcastDeterminism:
             )
         network.partition("a", "c")
         for i in range(20):
-            network.broadcast("a", f"msg-{i}")
+            for peer in ("b", "c", "d"):
+                network.send("a", peer, f"msg-{i}")
         queue.run()
         return log, list(network.dropped)
 
     def test_same_seed_same_delivery_and_drop_logs(self):
         """Partitions plus a nonzero drop rate stay fully deterministic:
         the same seed yields identical delivered and dropped logs."""
-        first = self._run_broadcasts(seed=7)
-        second = self._run_broadcasts(seed=7)
+        first = self._run_sends(seed=7)
+        second = self._run_sends(seed=7)
         assert first == second
         delivered, dropped = first
         assert delivered and dropped  # both paths actually exercised
 
-    def test_partitioned_peer_never_hears_broadcast(self):
-        delivered, dropped = self._run_broadcasts(seed=7)
+    def test_partitioned_peer_never_hears_the_sender(self):
+        delivered, dropped = self._run_sends(seed=7)
         assert all(name != "c" for name, _, _ in delivered)
         assert sum(1 for _, target, _ in dropped if target == "c") == 20
 
     def test_different_seed_changes_drops(self):
-        assert self._run_broadcasts(seed=7)[0] != self._run_broadcasts(seed=8)[0]
+        assert self._run_sends(seed=7)[0] != self._run_sends(seed=8)[0]

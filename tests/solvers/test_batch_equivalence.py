@@ -190,16 +190,3 @@ class TestDQNBeam:
         ).solve(problem_factory())
         assert sorted(greedy.best_order) == list(range(8))
         assert greedy.best_objective >= greedy.original_objective
-
-    def test_beam_returns_valid_result(self, problem_factory):
-        config = GenTranSeqConfig(episodes=4, steps_per_episode=20, seed=3)
-        beam = DQNInferenceSolver(
-            config=config, train_episodes=4, max_swaps=10, population=4
-        ).solve(problem_factory())
-        assert sorted(beam.best_order) == list(range(8))
-        assert beam.best_objective >= beam.original_objective
-        assert beam.metadata["population"] == 4.0
-
-    def test_population_must_be_positive(self):
-        with pytest.raises(ValueError):
-            DQNInferenceSolver(population=0)

@@ -44,12 +44,11 @@ class TestPolicy:
 
     def test_blown_eval_budget_degrades_to_identity(self):
         generator = _generator()
-        # population 8 -> 6 * 64 = 384 estimated evaluations > 100.
+        # The greedy rollout scores max_swaps orders: 101 > 100.
         config = ScannerConfig(
-            eval_budget_per_batch=100, max_swaps=6, population=8,
+            eval_budget_per_batch=100, max_swaps=101,
             train_episodes=1, train_steps=10,
         )
-        assert config.estimated_evaluations(10) > 100
         state, txs = _batch(generator, 10)
         scanner = BatchScanner(generator.ifus, config=config)
         ordered, outcome = scanner.scan(state, txs)
@@ -97,7 +96,7 @@ class TestPolicy:
         with pytest.raises(ReproError):
             ScannerConfig(max_batch_size=1)
         with pytest.raises(ReproError):
-            ScannerConfig(population=0)
+            ScannerConfig(max_swaps=0)
 
 
 class TestDeterminism:
