@@ -8,19 +8,22 @@ graph per token, flag (a) tokens that return to a previous owner within
 a window (closed cycles) and (b) tight wallet clusters whose internal
 volume dwarfs their external trade.
 
-Built on ``networkx`` (an allowed dependency); used by tests and the
+Built on ``networkx`` (an allowed dependency), imported on first use
+by :meth:`WashTradeDetector.trade_graph` and
+:meth:`WashTradeDetector.suspicious_clusters`; used by tests and the
 ``parole``-adjacent market tooling, not by the attack itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Sequence, Set, Tuple
 
 from ..errors import MarketError
 from .opensea import SaleRecord
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -72,6 +75,8 @@ class WashTradeDetector:
 
     def trade_graph(self, sales: Sequence[SaleRecord]) -> nx.MultiDiGraph:
         """Directed multigraph: one edge per sale, seller -> buyer."""
+        import networkx as nx
+
         graph = nx.MultiDiGraph()
         for sale in sales:
             graph.add_edge(
@@ -128,6 +133,8 @@ class WashTradeDetector:
         self, sales: Sequence[SaleRecord]
     ) -> List[Set[str]]:
         """Wallet groups whose trade volume is overwhelmingly internal."""
+        import networkx as nx
+
         graph = self.trade_graph(sales)
         if graph.number_of_nodes() == 0:
             return []

@@ -5,11 +5,24 @@ scores one ordering by resuming from the prefix it shares with the
 previous one (the K=1 path of ``IncrementalOVM``), and
 ``parole_batch_replay`` steps K orderings in lockstep (the
 ``BatchReplayEngine`` path).  Both run one shared transition in
-``OVM.replay``'s exact IEEE-754 operation order.  This module compiles
-the source with the system C compiler on first use (once per process,
-into a temporary directory; ``CC`` names the compiler), binds it
-through :mod:`ctypes`, and mirrors the kernel's two structs
-(:class:`Tables`, :class:`Cursor`).
+``OVM.replay``'s exact IEEE-754 operation order.  This module loads
+the compiled kernel on first use (once per process), binds it through
+:mod:`ctypes`, and mirrors the kernel's two structs (:class:`Tables`,
+:class:`Cursor`).
+
+The library is cached across processes at
+``<tempfile.gettempdir()>/repro-kernel-<uid>/_batch_replay-<key>.so``,
+where ``<key>`` is a sha256 over the C source, the resolved path of the
+compiler (``CC``, else ``cc``, ``gcc`` or ``clang``), that file's size
+and modification time, and the compiler flags.  A miss compiles into a
+fresh build directory inside the cache and renames the result onto the
+cached name, so a concurrent process never loads a partial file; a
+cached file that fails to load is rebuilt once.  The cache is used only
+when ``os.lstat`` shows a real directory owned by this user with no
+group or other permission bits; otherwise (or with no ``os.getuid``)
+each process builds the same way into its own temporary directory,
+removed at exit.  A different compiler is a different key, so
+``CC=false`` still misses and falls back as below.
 
 Loading can fail: no compiler, a failed compile, or a platform whose
 ``intp`` is narrower than the kernel's 64-bit index ABI.  The failure is
@@ -25,8 +38,10 @@ from __future__ import annotations
 
 import atexit
 import ctypes
+import hashlib
 import os
 import shutil
+import stat
 import subprocess
 import tempfile
 import warnings
@@ -88,8 +103,110 @@ class Cursor(ctypes.Structure):
     ]
 
 
+def _cache_dir() -> Optional[str]:
+    """This user's kernel cache directory, or ``None`` when it is not safe."""
+    getuid = getattr(os, "getuid", None)
+    if getuid is None:
+        return None
+    uid = getuid()
+    path = os.path.join(tempfile.gettempdir(), f"repro-kernel-{uid}")
+    try:
+        os.mkdir(path, 0o700)
+    except FileExistsError:
+        pass
+    except OSError:
+        return None
+    try:
+        info = os.lstat(path)
+    except OSError:
+        return None
+    if (
+        not stat.S_ISDIR(info.st_mode)
+        or info.st_uid != uid
+        or info.st_mode & 0o077
+    ):
+        return None
+    return path
+
+
+def _cache_key(compiler: str) -> str:
+    """sha256 over the source, the compiler's file and the flags."""
+    found = shutil.which(compiler)
+    if found is None:
+        raise KernelUnavailableError(f"C compiler {compiler!r} not found")
+    resolved = os.path.realpath(found)
+    info = os.stat(resolved)
+    digest = hashlib.sha256(_SOURCE.read_bytes())
+    for part in (resolved, info.st_size, info.st_mtime_ns, *_CFLAGS):
+        digest.update(f"\0{part}".encode())
+    return digest.hexdigest()
+
+
+def _build(compiler: str, lib_path: str) -> None:
+    """Compile the source into ``lib_path``, or raise naming why not."""
+    try:
+        subprocess.run(
+            [compiler, *_CFLAGS, "-o", lib_path, str(_SOURCE)],
+            check=True,
+            capture_output=True,
+            timeout=120,
+        )
+    except subprocess.CalledProcessError as exc:
+        raise KernelUnavailableError(
+            f"compiling {_SOURCE.name} with {compiler!r} failed "
+            f"(exit status {exc.returncode})"
+        ) from None
+    except (OSError, subprocess.SubprocessError) as exc:
+        raise KernelUnavailableError(
+            f"compiling {_SOURCE.name} with {compiler!r} failed: {exc}"
+        ) from None
+
+
+def _load(lib_path: str) -> ctypes.CDLL:
+    """Open the library at ``lib_path``, or raise naming why not."""
+    try:
+        return ctypes.CDLL(lib_path)
+    except OSError as exc:
+        raise KernelUnavailableError(
+            f"loading the compiled {_SOURCE.name} failed: {exc}"
+        ) from None
+
+
+def _library(compiler: str) -> ctypes.CDLL:
+    """The cached library, built on a miss (in a private cache if need be)."""
+    cache_dir = _cache_dir()
+    if cache_dir is None:
+        cache_dir = tempfile.mkdtemp(prefix="repro-batch-kernel-")
+        atexit.register(shutil.rmtree, cache_dir, ignore_errors=True)
+    lib_path = os.path.join(
+        cache_dir, f"_batch_replay-{_cache_key(compiler)}.so"
+    )
+    if os.path.exists(lib_path):
+        try:
+            return ctypes.CDLL(lib_path)
+        except OSError:
+            pass  # a damaged entry: rebuilt once below
+    try:
+        build_dir = tempfile.mkdtemp(prefix="build-", dir=cache_dir)
+    except OSError as exc:
+        raise KernelUnavailableError(
+            f"cannot build {_SOURCE.name} in {cache_dir}: {exc}"
+        ) from None
+    try:
+        built = os.path.join(build_dir, "_batch_replay.so")
+        _build(compiler, built)
+        os.replace(built, lib_path)
+    except OSError as exc:
+        raise KernelUnavailableError(
+            f"cannot cache the compiled {_SOURCE.name}: {exc}"
+        ) from None
+    finally:
+        shutil.rmtree(build_dir, ignore_errors=True)
+    return _load(lib_path)
+
+
 def _compile() -> ctypes.CDLL:
-    """Build and bind the kernel, or raise naming why it cannot load."""
+    """Load (building if need be) and bind the kernel, or raise naming why."""
     if np.dtype(np.intp).itemsize != 8:
         raise KernelUnavailableError(
             "the kernel's index ABI needs a 64-bit intp"
@@ -104,26 +221,7 @@ def _compile() -> ctypes.CDLL:
     )
     if compiler is None:
         raise KernelUnavailableError("no C compiler found (set CC)")
-    build_dir = tempfile.mkdtemp(prefix="repro-batch-kernel-")
-    atexit.register(shutil.rmtree, build_dir, ignore_errors=True)
-    lib_path = os.path.join(build_dir, "_batch_replay.so")
-    try:
-        subprocess.run(
-            [compiler, *_CFLAGS, "-o", lib_path, str(_SOURCE)],
-            check=True,
-            capture_output=True,
-            timeout=120,
-        )
-        lib = ctypes.CDLL(lib_path)
-    except subprocess.CalledProcessError as exc:
-        raise KernelUnavailableError(
-            f"compiling {_SOURCE.name} with {compiler!r} failed "
-            f"(exit status {exc.returncode})"
-        ) from None
-    except (OSError, subprocess.SubprocessError) as exc:
-        raise KernelUnavailableError(
-            f"compiling or loading {_SOURCE.name} with {compiler!r} failed: {exc}"
-        ) from None
+    lib = _library(compiler)
     batch = lib.parole_batch_replay
     batch.restype = ctypes.c_int64
     batch.argtypes = (
@@ -143,8 +241,9 @@ def _compile() -> ctypes.CDLL:
 def load_kernel() -> Optional[ctypes.CDLL]:
     """The compiled kernel library, or ``None`` when it cannot load.
 
-    Compilation is attempted at most once per process; the result
-    (including failure) is cached, and a failure warns exactly once.
+    Loading (and compiling, on a cache miss) is attempted at most once
+    per process; the result (including failure) is kept, and a failure
+    warns exactly once.
     """
     global _loaded, _kernel, _failure
     if not _loaded:

@@ -19,6 +19,10 @@ APOPT      SLSQP (active-set SQP)                  dense quadratic subproblems
 MINOS      BFGS (quasi-Newton, dense Hessian)      dense approximate Hessian
 SNOPT      trust-constr (interior trust region)    good small-N, poor scaling
 =========  ======================================  ==========================
+
+``scipy.optimize`` is imported when a solver is constructed, not when
+this module is: importing :mod:`repro` stays free of it, and Fig. 11's
+``profile_solver`` times only the solve, never the import.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ import time
 from typing import Tuple
 
 import numpy as np
-from scipy import optimize
 
 from .base import ReorderProblem, ReorderSolver, SolverResult
 
@@ -45,6 +48,9 @@ class RelaxationSolver(ReorderSolver):
         seed: int = 0,
         penalty: float = 10.0,
     ) -> None:
+        from scipy import optimize
+
+        self._minimize = optimize.minimize
         self.restarts = restarts
         self.max_iterations = max_iterations
         self.seed = seed
@@ -78,7 +84,7 @@ class RelaxationSolver(ReorderSolver):
                 keys0 = np.linspace(0.0, 1.0, problem.size)
             else:
                 keys0 = rng.uniform(0.0, 1.0, size=problem.size)
-            outcome = optimize.minimize(
+            outcome = self._minimize(
                 lambda keys: self._loss(problem, keys),
                 keys0,
                 method=self.method,

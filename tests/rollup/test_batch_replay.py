@@ -16,6 +16,13 @@ oracle.  Tests that need the kernel carry the shared ``kernel`` marker.
 from __future__ import annotations
 
 import contextlib
+import os
+import pathlib
+import re
+import shutil
+import stat
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -42,6 +49,7 @@ from repro.tokens.pricing import PRICE_TABLE_LIMIT
 from repro.workloads import generate_workload
 
 
+SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
 USERS = ("ifu", "u1", "u2", "u3")
 
 #: The two scoring routes ``kernel_backend()`` can report.
@@ -333,6 +341,65 @@ def _fallback_workload():
     )
 
 
+class _CacheProbe:
+    """Fresh interpreters sharing one ``TMPDIR``, compiling through a
+    ``CC`` wrapper that logs each call before it runs the real compiler."""
+
+    def __init__(self, tmp: pathlib.Path, compiler: str) -> None:
+        self.tmp = tmp
+        self.cache = tmp / f"repro-kernel-{os.getuid()}"
+        self.log = tmp / "cc.log"
+        self.cc = tmp / "logged-cc"
+        self.cc.write_text(
+            f'#!/bin/sh\necho "$@" >> "{self.log}"\nexec "{compiler}" "$@"\n'
+        )
+        self.cc.chmod(0o755)
+
+    def run(self, cc=None, prelude=""):
+        """``kernel_backend()`` (asked twice) and stderr of a fresh interpreter."""
+        code = (
+            f"{prelude}\n"
+            "from repro.rollup.ckernel import kernel_backend\n"
+            "print(kernel_backend(), kernel_backend())\n"
+        )
+        env = dict(
+            os.environ, PYTHONPATH=str(SRC), TMPDIR=str(self.tmp),
+            CC=cc or str(self.cc),
+        )
+        done = subprocess.run(
+            [sys.executable, "-W", "always::RuntimeWarning", "-c", code],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        first, second = done.stdout.split()
+        assert first == second
+        return first, done.stderr
+
+    @property
+    def compiles(self) -> int:
+        return len(self.log.read_text().splitlines()) if self.log.exists() else 0
+
+    def cached(self):
+        return sorted(p.name for p in self.cache.iterdir())
+
+    def leftovers(self):
+        """Build directories left behind, private or inside the cache."""
+        names = [p.name for p in self.tmp.iterdir()]
+        if self.cache.is_dir():
+            names += self.cached()
+        return [n for n in names if n.startswith(("build-", "repro-batch-kernel-"))]
+
+
+@pytest.fixture
+def cache_probe(tmp_path):
+    if not hasattr(os, "getuid"):
+        pytest.skip("the kernel cache needs os.getuid")
+    compiler = shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
+    if compiler is None:
+        pytest.skip("no C compiler on this host")
+    return _CacheProbe(tmp_path, compiler)
+
+
 class TestKernelLoader:
     def test_loader_is_cached(self):
         assert ckernel.load_kernel() is ckernel.load_kernel()
@@ -390,3 +457,66 @@ class TestKernelLoader:
             _assert_summaries_identical(mine["summary"], theirs["summary"])
         assert fallback_solved.best_order == kernel_solved.best_order
         assert fallback_solved.best_objective == kernel_solved.best_objective
+
+    def test_second_process_reuses_the_cached_kernel(self, cache_probe):
+        assert cache_probe.run()[0] == "c"
+        assert cache_probe.compiles == 1
+        (entry,) = cache_probe.cached()
+        assert re.fullmatch(r"_batch_replay-[0-9a-f]{64}\.so", entry)
+        assert stat.S_IMODE(cache_probe.cache.lstat().st_mode) & 0o077 == 0
+        assert cache_probe.run()[0] == "c"
+        assert cache_probe.compiles == 1
+        assert cache_probe.leftovers() == []
+
+    @pytest.mark.parametrize("untrusted", ["mode-777", "symlink"])
+    def test_untrusted_cache_is_never_loaded(self, cache_probe, untrusted):
+        assert cache_probe.run()[0] == "c"
+        if untrusted == "mode-777":
+            cache_probe.cache.chmod(0o777)
+        else:
+            moved = cache_probe.tmp / "elsewhere"
+            cache_probe.cache.rename(moved)
+            cache_probe.cache.symlink_to(moved, target_is_directory=True)
+        before = cache_probe.cached()
+        for _ in range(2):
+            assert cache_probe.run()[0] == "c"
+        # Each run compiled privately; the cached library was never used.
+        assert cache_probe.compiles == 3
+        assert cache_probe.cached() == before
+        assert cache_probe.leftovers() == []
+
+    def test_without_getuid_compiles_privately(self, cache_probe):
+        assert cache_probe.run(prelude="import os; del os.getuid")[0] == "c"
+        assert cache_probe.compiles == 1
+        assert not cache_probe.cache.exists()
+        assert cache_probe.leftovers() == []
+
+    def test_damaged_cache_entry_is_rebuilt(self, cache_probe):
+        assert cache_probe.run()[0] == "c"
+        (entry,) = cache_probe.cached()
+        damaged = cache_probe.cache / entry
+        damaged.write_bytes(b"not a shared library")
+        assert cache_probe.run()[0] == "c"
+        assert cache_probe.compiles == 2
+        assert damaged.read_bytes() != b"not a shared library"
+        assert cache_probe.run()[0] == "c"
+        assert cache_probe.compiles == 2
+        assert cache_probe.leftovers() == []
+
+    def test_changed_compiler_misses_the_cache(self, cache_probe):
+        assert cache_probe.run()[0] == "c"
+        info = cache_probe.cc.stat()
+        os.utime(cache_probe.cc, ns=(info.st_atime_ns, info.st_mtime_ns + 10**9))
+        assert cache_probe.run()[0] == "c"
+        assert cache_probe.compiles == 2
+        assert len(cache_probe.cached()) == 2
+        assert cache_probe.leftovers() == []
+
+    def test_cc_false_misses_a_warm_cache_and_warns_once(self, cache_probe):
+        assert cache_probe.run()[0] == "c"
+        backend, stderr = cache_probe.run(cc="false")
+        assert backend == "python"
+        assert stderr.count("replay C kernel unavailable") == 1
+        assert "'false'" in stderr and "exit status 1" in stderr
+        assert len(cache_probe.cached()) == 1
+        assert cache_probe.leftovers() == []
