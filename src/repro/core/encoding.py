@@ -24,9 +24,17 @@ class TransactionEncoder:
 
     Normalisation constants come from the pre-state so encodings are
     comparable across candidate orderings of the same collection.
+    ``transactions`` is that collection: :meth:`encode_columns` encodes
+    its orderings by index.  :meth:`encode` and :meth:`encode_2d` take
+    any sequence.
     """
 
-    def __init__(self, pre_state: L2State, ifus: Sequence[str]) -> None:
+    def __init__(
+        self,
+        pre_state: L2State,
+        ifus: Sequence[str],
+        transactions: Sequence[NFTTransaction] = (),
+    ) -> None:
         self.pre_state = pre_state
         self.ifus = tuple(ifus)
         self._ovm = OVM()
@@ -35,10 +43,9 @@ class TransactionEncoder:
         self._price_ceiling = pre_state.pricing.price(1)
         self._supply_ceiling = float(max_supply)
         self._fee_ceiling = 1.0
-        # Per-transaction features that do not depend on the ordering
-        # (type one-hots, IFU flags): encoded once per distinct tx, reused
-        # across every permutation of the same collection.
-        self._static_rows: dict = {}
+        # The collection's rows with the order-independent columns
+        # filled: every ordering's rows are a gather of these.
+        self._static = self._static_rows(transactions)
 
     @property
     def feature_width(self) -> int:
@@ -53,73 +60,53 @@ class TransactionEncoder:
         """Flattened ``8 x N`` observation for one candidate ordering."""
         return self.encode_2d(transactions).reshape(-1)
 
-    def encode_from_trace(
-        self, transactions: Sequence[NFTTransaction], trace
-    ) -> np.ndarray:
-        """Flattened observation reusing an existing replay trace.
-
-        The environment already replays each candidate order to score it
-        (Eq. 8); passing that trace here avoids a second replay per step.
-        """
-        return self._rows(transactions, trace).reshape(-1)
-
     def encode_columns(
         self,
-        transactions: Sequence[NFTTransaction],
+        order: Sequence[int],
         prices_before: Sequence[float],
         remaining_after: Sequence[int],
     ) -> np.ndarray:
-        """Flattened observation from replay-engine price/supply columns.
+        """Flattened observation of an ordering of the collection.
 
-        The incremental engine's ``EvalSummary`` carries the two
-        state-dependent features as plain columns; encoding them directly
-        skips both the second replay and the trace-object walk.
+        ``order`` indexes the constructor's ``transactions``.  The
+        order-independent columns are gathered from the rows built at
+        construction; the two state-dependent ones come from the
+        replay engine's ``EvalSummary`` columns, so neither a second
+        replay nor a per-transaction walk is needed.
         """
-        return self._rows_from_columns(
-            transactions, prices_before, remaining_after
-        ).reshape(-1)
+        rows = self._static.take(order, axis=0)
+        self._fill_state_columns(rows, prices_before, remaining_after)
+        return rows.reshape(-1)
 
     def encode_2d(self, transactions: Sequence[NFTTransaction]) -> np.ndarray:
         """The per-transaction feature matrix of shape ``(N, 8)``."""
         trace = self._ovm.replay(self.pre_state, transactions)
-        return self._rows(transactions, trace)
-
-    def _static_features(self, tx: NFTTransaction) -> np.ndarray:
-        """Order-independent feature prefix (type one-hots + IFU flags)."""
-        row = self._static_rows.get(tx)
-        if row is None:
-            ifu_involved = any(tx.involves(ifu) for ifu in self.ifus)
-            ifu_gains = tx.recipient in self.ifus or (
-                tx.kind is TxKind.MINT and tx.sender in self.ifus
-            )
-            row = np.array(
-                (
-                    1.0 if tx.kind is TxKind.MINT else 0.0,
-                    1.0 if tx.kind is TxKind.TRANSFER else 0.0,
-                    1.0 if tx.kind is TxKind.BURN else 0.0,
-                    1.0 if ifu_involved else 0.0,
-                    1.0 if ifu_gains else 0.0,
-                )
-            )
-            self._static_rows[tx] = row
-        return row
-
-    def _rows(
-        self, transactions: Sequence[NFTTransaction], trace
-    ) -> np.ndarray:
-        return self._rows_from_columns(
-            transactions,
+        rows = self._static_rows(transactions)
+        self._fill_state_columns(
+            rows,
             [step.result.price_before for step in trace.steps],
             [step.result.remaining_supply for step in trace.steps],
         )
+        return rows
 
-    def _rows_from_columns(
-        self,
-        transactions: Sequence[NFTTransaction],
-        prices_before: Sequence[float],
-        remaining_after: Sequence[int],
-    ) -> np.ndarray:
+    def _static_rows(self, transactions: Sequence[NFTTransaction]) -> np.ndarray:
+        """``(N, 8)`` rows with the order-independent columns filled.
+
+        Type one-hots and IFU flags (columns 0-4), and the fee over the
+        sequence's fee ceiling (column 7), which is the same for every
+        permutation of the sequence.  Columns 5 and 6 are left zero.
+        """
         count = len(transactions)
+        rows = np.zeros((count, TX_FEATURE_WIDTH))
+        for index, tx in enumerate(transactions):
+            rows[index, :5] = (
+                tx.kind is TxKind.MINT,
+                tx.kind is TxKind.TRANSFER,
+                tx.kind is TxKind.BURN,
+                any(tx.involves(ifu) for ifu in self.ifus),
+                tx.recipient in self.ifus
+                or (tx.kind is TxKind.MINT and tx.sender in self.ifus),
+            )
         fees = np.fromiter(
             (tx.total_fee for tx in transactions), dtype=float, count=count
         )
@@ -128,9 +115,16 @@ class TransactionEncoder:
             if count
             else self._fee_ceiling
         )
-        rows = np.empty((count, TX_FEATURE_WIDTH))
-        for index, tx in enumerate(transactions):
-            rows[index, :5] = self._static_features(tx)
+        rows[:, 7] = fees / fee_ceiling
+        return rows
+
+    def _fill_state_columns(
+        self,
+        rows: np.ndarray,
+        prices_before: Sequence[float],
+        remaining_after: Sequence[int],
+    ) -> None:
+        count = len(rows)
         rows[:, 5] = (
             np.fromiter(prices_before, dtype=float, count=count)
             / self._price_ceiling
@@ -139,8 +133,6 @@ class TransactionEncoder:
             np.fromiter(remaining_after, dtype=float, count=count)
             / self._supply_ceiling
         )
-        rows[:, 7] = fees / fee_ceiling
-        return rows
 
 
 def encode_for_inference(

@@ -88,7 +88,7 @@ class ReorderEnv(Environment):
         # object, so batch counters land in the same `replay_stats()`
         # surface).
         self._batch_engine: Optional[BatchReplayEngine] = None
-        self._encoder = TransactionEncoder(pre_state, ifus)
+        self._encoder = TransactionEncoder(pre_state, ifus, self.transactions)
         self._actions = swap_action_table(len(transactions))
         self._order: List[int] = list(range(len(transactions)))
         self._steps = 0
@@ -170,7 +170,7 @@ class ReorderEnv(Environment):
         self._steps += 1
         reward, info = self._score()
         done = self._steps >= self.config.steps_per_episode
-        observation = self._observe(info.pop("summary", None))
+        observation = self._observe(info.pop("summary"))
         return observation, reward, done, info
 
     # ------------------------------------------------------------------ #
@@ -305,10 +305,7 @@ class ReorderEnv(Environment):
         info["swaps"] = self._steps
         return reward, info
 
-    def _observe(self, summary: Optional[EvalSummary] = None) -> np.ndarray:
-        sequence = self.current_sequence()
-        if summary is not None:
-            return self._encoder.encode_columns(
-                sequence, summary.prices_before, summary.remaining_after
-            )
-        return self._encoder.encode(sequence)
+    def _observe(self, summary: EvalSummary) -> np.ndarray:
+        return self._encoder.encode_columns(
+            self._order, summary.prices_before, summary.remaining_after
+        )

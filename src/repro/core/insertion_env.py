@@ -59,5 +59,5 @@ class InsertionReorderEnv(ReorderEnv):
         self._steps += 1
         reward, info = self._score()
         done = self._steps >= self.config.steps_per_episode
-        observation = self._observe(info.pop("summary", None))
+        observation = self._observe(info.pop("summary"))
         return observation, reward, done, info

@@ -83,7 +83,12 @@ class ReplayBuffer:
         }
 
     def load_state_dict(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output into this buffer."""
+        """Restore :meth:`state_dict` output into this buffer.
+
+        Raises :class:`DRLError`, leaving the buffer as it was, unless
+        the capacity and storage length match and ``0 <= next <
+        capacity`` and ``0 <= size <= capacity``.
+        """
         capacity = int(state["capacity"])
         if capacity != self.capacity:
             raise DRLError(
@@ -93,9 +98,15 @@ class ReplayBuffer:
         storage = list(state["storage"])
         if len(storage) != capacity:
             raise DRLError("checkpoint storage length mismatch")
+        cursor = int(state["next"])
+        size = int(state["size"])
+        if not 0 <= cursor < capacity:
+            raise DRLError(f"checkpoint next={cursor} outside [0, {capacity})")
+        if not 0 <= size <= capacity:
+            raise DRLError(f"checkpoint size={size} outside [0, {capacity}]")
         self._storage = storage
-        self._next = int(state["next"])
-        self._size = int(state["size"])
+        self._next = cursor
+        self._size = size
 
     def clear(self) -> None:
         """Drop every stored transition."""

@@ -86,3 +86,25 @@ class TestSample:
         for i in range(pushes):
             buffer.push(make_transition(float(i)))
         assert len(buffer) == min(capacity, pushes)
+
+
+class TestLoadStateDict:
+    """A checkpoint's cursor and size must fit the ring."""
+
+    @pytest.fixture
+    def buffer(self):
+        buffer = ReplayBuffer(capacity=4)
+        for i in range(3):
+            buffer.push(make_transition(float(i)))
+        return buffer
+
+    @pytest.mark.parametrize("field, value", [
+        ("next", 4), ("next", -1), ("size", 5), ("size", -1),
+    ])
+    def test_out_of_range_rejected_before_any_change(self, buffer, field, value):
+        state = ReplayBuffer(capacity=4).state_dict()
+        state[field] = value
+        with pytest.raises(DRLError, match=f"{field}="):
+            buffer.load_state_dict(state)
+        assert len(buffer) == 3
+        assert buffer.state_dict()["storage"][2] is not None
